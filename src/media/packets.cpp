@@ -94,11 +94,13 @@ void get(ByteReader& r, MbCoefs& v) {
   }
 }
 
+// Coefficients travel in host byte order, as i16() would write them one at
+// a time; one bytes() call per block copies the same bytes.
 void put(ByteWriter& w, const MbBlocks& v) {
   w.u8(v.cbp);
   w.u8(v.intra);
   for (const auto& block : v.blocks) {
-    for (const auto c : block) w.i16(c);
+    w.bytes({reinterpret_cast<const std::uint8_t*>(block.data()), sizeof block});
   }
 }
 
@@ -106,7 +108,7 @@ void get(ByteReader& r, MbBlocks& v) {
   v.cbp = r.u8();
   v.intra = r.u8();
   for (auto& block : v.blocks) {
-    for (auto& c : block) c = r.i16();
+    r.bytes({reinterpret_cast<std::uint8_t*>(block.data()), sizeof block});
   }
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "eclipse/sim/coro.hpp"
 #include "eclipse/sim/sim_event.hpp"
@@ -44,8 +45,10 @@ class Bus {
   Bus& operator=(const Bus&) = delete;
 
   /// Occupies the bus for the duration of a `bytes`-sized burst.
-  /// `client` identifies the requester for per-client accounting.
+  /// `client` (a non-negative id, in practice the shell id) identifies the
+  /// requester for per-client accounting.
   sim::Task<void> transfer(std::size_t bytes, int client) {
+    if (client < 0) throw std::invalid_argument("Bus: negative client id");
     if (sim_.sharded()) sim_.assertOnShard(home_shard_, name_.c_str());
     co_await grant_.acquire();
     sim::SemaphoreGuard guard(grant_);
@@ -55,7 +58,9 @@ class Bus {
     total_.transactions += 1;
     total_.bytes += bytes;
     total_.busy_cycles += total;
-    auto& cs = per_client_[client];
+    const auto slot = static_cast<std::size_t>(client);
+    if (slot >= per_client_.size()) per_client_.resize(slot + 1);
+    auto& cs = per_client_[slot];
     cs.transactions += 1;
     cs.bytes += bytes;
     cs.busy_cycles += total;
@@ -75,7 +80,9 @@ class Bus {
   [[nodiscard]] std::uint32_t widthBytes() const { return width_bytes_; }
   [[nodiscard]] sim::Cycle arbitrationLatency() const { return arb_latency_; }
   [[nodiscard]] const BusStats& stats() const { return total_; }
-  [[nodiscard]] const std::map<int, BusStats>& perClientStats() const { return per_client_; }
+  /// Per-client totals indexed by client id; clients that never
+  /// transferred read as zero.
+  [[nodiscard]] const std::vector<BusStats>& perClientStats() const { return per_client_; }
 
   /// Bus occupancy as a fraction of `elapsed` cycles.
   [[nodiscard]] double utilization(sim::Cycle elapsed) const {
@@ -96,7 +103,7 @@ class Bus {
   sim::Semaphore grant_;
   sim::ShardId home_shard_ = 0;
   BusStats total_;
-  std::map<int, BusStats> per_client_;
+  std::vector<BusStats> per_client_;  // grown on demand to the largest id
 };
 
 }  // namespace eclipse::mem

@@ -6,6 +6,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "eclipse/sim/fault.hpp"
 #include "eclipse/sim/simulator.hpp"
@@ -40,7 +41,7 @@ struct SyncMessage {
 /// Thread safety under split plans: send() runs on lane threads during the
 /// same barrier window, so the traffic counters are relaxed atomics (sums
 /// commute — totals stay deterministic for any interleaving). The handler
-/// and shard maps are only mutated outside runs (attach/detach/setShellShard
+/// table and shard map are only mutated outside runs (attach/detach/setShellShard
 /// happen from the control plane between runs); window execution reads them
 /// concurrently, which is safe. Fault hooks serialize inside the injector.
 class MessageNetwork {
@@ -50,8 +51,10 @@ class MessageNetwork {
   MessageNetwork(sim::Simulator& sim, sim::Cycle latency)
       : sim_(sim), latency_(latency) {}
 
-  /// Registers the message handler for a shell id.
+  /// Registers the message handler for a shell id. Shell ids are small
+  /// and dense (instance build order), so the table is indexed by id.
   void attach(std::uint32_t shell_id, Handler handler) {
+    if (shell_id >= handlers_.size()) handlers_.resize(shell_id + 1);
     handlers_[shell_id] = std::move(handler);
   }
 
@@ -65,16 +68,16 @@ class MessageNetwork {
     return it == shards_.end() ? 0 : it->second;
   }
 
-  /// Withdraws a shell's handler (shell removal on instance recycle).
-  /// Delivery events capture a pointer to the registered handler, so this
-  /// is only sound while no message to `shell_id` is in flight — i.e.
-  /// after the simulator has quiesced or its events were destroyed.
-  void detach(std::uint32_t shell_id) { handlers_.erase(shell_id); }
+  /// Withdraws a shell's handler (shell removal on instance recycle). A
+  /// message still in flight to `shell_id` is dropped on arrival and
+  /// counted in messagesUndeliverable().
+  void detach(std::uint32_t shell_id) {
+    if (shell_id < handlers_.size()) handlers_[shell_id] = nullptr;
+  }
 
   /// Sends a message; delivery happens `latency` cycles later.
   void send(const SyncMessage& msg) {
-    auto it = handlers_.find(msg.dst_shell);
-    if (it == handlers_.end()) {
+    if (!attached(msg.dst_shell)) {
       throw std::runtime_error("MessageNetwork: no handler attached for shell " +
                                std::to_string(msg.dst_shell));
     }
@@ -98,19 +101,19 @@ class MessageNetwork {
                          0, msg.bytes});
       }
     }
-    // Captures a pointer plus the 16-byte message: small and trivially
+    // Captures `this` plus the 16-byte message: small and trivially
     // copyable, so the delivery event is stored inline in the kernel —
-    // no allocation per putspace message.
-    Handler* handler = &it->second;
+    // no allocation per putspace message. The handler is looked up by id
+    // on arrival, so the event holds no pointer into the handler table.
     if (sim_.sharded()) {
       const sim::ShardId dst_shard = shardOf(msg.dst_shell);
       if (dst_shard != sim_.currentShard()) {
         cross_messages_.fetch_add(1, std::memory_order_relaxed);
       }
-      sim_.scheduleOnShard(dst_shard, latency, [handler, msg] { (*handler)(msg); });
+      sim_.scheduleOnShard(dst_shard, latency, [this, msg] { deliver(msg); });
       return;
     }
-    sim_.schedule(latency, [handler, msg] { (*handler)(msg); });
+    sim_.schedule(latency, [this, msg] { deliver(msg); });
   }
 
   [[nodiscard]] sim::Cycle latency() const { return latency_; }
@@ -126,23 +129,41 @@ class MessageNetwork {
   [[nodiscard]] std::uint64_t crossShardMessages() const {
     return cross_messages_.load(std::memory_order_relaxed);
   }
+  /// Messages that arrived for a shell detached while they were in flight.
+  [[nodiscard]] std::uint64_t messagesUndeliverable() const {
+    return undeliverable_.load(std::memory_order_relaxed);
+  }
 
   void resetStats() {
     messages_sent_.store(0, std::memory_order_relaxed);
     messages_dropped_.store(0, std::memory_order_relaxed);
     bytes_signalled_.store(0, std::memory_order_relaxed);
     cross_messages_.store(0, std::memory_order_relaxed);
+    undeliverable_.store(0, std::memory_order_relaxed);
   }
 
  private:
+  [[nodiscard]] bool attached(std::uint32_t shell_id) const {
+    return shell_id < handlers_.size() && handlers_[shell_id];
+  }
+
+  void deliver(const SyncMessage& msg) {
+    if (!attached(msg.dst_shell)) {
+      undeliverable_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    handlers_[msg.dst_shell](msg);
+  }
+
   sim::Simulator& sim_;
   sim::Cycle latency_;
-  std::map<std::uint32_t, Handler> handlers_;
+  std::vector<Handler> handlers_;  // indexed by shell id; empty = detached
   std::map<std::uint32_t, sim::ShardId> shards_;
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> messages_dropped_{0};
   std::atomic<std::uint64_t> bytes_signalled_{0};
   std::atomic<std::uint64_t> cross_messages_{0};
+  std::atomic<std::uint64_t> undeliverable_{0};
 };
 
 }  // namespace eclipse::mem

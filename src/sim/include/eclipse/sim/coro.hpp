@@ -1,10 +1,13 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <string>
 #include <utility>
+
+#include "eclipse/sim/frame_pool.hpp"
 
 namespace eclipse::sim {
 
@@ -18,10 +21,18 @@ namespace detail {
 /// completion). For a *root* process spawned directly on the simulator there
 /// is no continuation; instead `root_sim` is set and the simulator is
 /// notified on completion so that unhandled exceptions surface from run().
+///
+/// Frames are allocated through the per-thread frame pool (frame_pool.hpp):
+/// a task call costs a free-list pop instead of a heap allocation.
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
   Simulator* root_sim = nullptr;
+
+  static void* operator new(std::size_t bytes) { return frame_pool::allocate(bytes); }
+  static void operator delete(void* p, std::size_t bytes) noexcept {
+    frame_pool::deallocate(p, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }

@@ -23,6 +23,12 @@ namespace eclipse::sim {
 ///   * an overflow min-heap for events beyond the wheel horizon; entries
 ///     migrate into the wheel when the window advances past them.
 ///
+/// Wheel events live in one node slab shared by all buckets: a bucket is a
+/// singly linked FIFO of slab indices (head/tail arrays, 32 KiB together),
+/// and drained nodes go on a LIFO free list. Once the slab has grown to the
+/// run's peak occupancy, push and pop touch no allocator and reuse the
+/// most recently freed (cache-warm) nodes.
+///
 /// Events at the same cycle execute in insertion order (FIFO), which keeps
 /// the simulation deterministic regardless of container internals. The
 /// FIFO guarantee holds across the bucket/heap boundary: far-future events
@@ -36,7 +42,11 @@ class EventQueue {
   static constexpr std::size_t kWheelBits = 12;
   static constexpr Cycle kWheelSpan = Cycle{1} << kWheelBits;
 
-  EventQueue() : wheel_(kWheelSpan) { bitmap_.fill(0); }
+  EventQueue() {
+    head_.fill(kNil);
+    tail_.fill(kNil);
+    bitmap_.fill(0);
+  }
 
   /// Schedules `ev` at absolute cycle `at`. Cycles before the window base
   /// (only reachable through direct queue use — the Simulator clamps to
@@ -44,10 +54,7 @@ class EventQueue {
   void push(Cycle at, Event ev) {
     if (at < base_) at = base_;
     if (at - base_ < kWheelSpan) {
-      const std::size_t idx = bucketIndex(at);
-      wheel_[idx].items.push_back(std::move(ev));
-      markOccupied(idx);
-      ++wheel_count_;
+      append(bucketIndex(at), std::move(ev));
     } else {
       overflow_.push_back(Far{at, seq_++, std::move(ev)});
       std::push_heap(overflow_.begin(), overflow_.end(), FarLater{});
@@ -89,11 +96,14 @@ class EventQueue {
     }
     if (c > base_) advanceTo(c);  // migrate far events that now fit
     const std::size_t idx = bucketIndex(c);
-    Bucket& b = wheel_[idx];
-    Event ev = std::move(b.items[b.head]);
-    if (++b.head == b.items.size()) {
-      b.items.clear();
-      b.head = 0;
+    const std::uint32_t n = head_[idx];
+    Node& node = nodes_[n];
+    Event ev = std::move(node.ev);
+    head_[idx] = node.next;
+    node.next = free_;
+    free_ = n;
+    if (head_[idx] == kNil) {
+      tail_[idx] = kNil;
       clearOccupied(idx);
       next_valid_ = false;  // this cycle is drained; rescan on next query
     }
@@ -102,14 +112,14 @@ class EventQueue {
   }
 
   /// Drops every pending event (used during simulator teardown so no
-  /// scheduled resume outlives its coroutine frame). Bucket capacity is
+  /// scheduled resume outlives its coroutine frame). Slab capacity is
   /// retained for reuse.
   void clear() {
     if (size_ == 0) return;
-    for (auto& b : wheel_) {
-      b.items.clear();
-      b.head = 0;
-    }
+    nodes_.clear();
+    free_ = kNil;
+    head_.fill(kNil);
+    tail_.fill(kNil);
     bitmap_.fill(0);
     summary_ = 0;
     overflow_.clear();
@@ -119,10 +129,11 @@ class EventQueue {
   }
 
  private:
-  struct Bucket {
-    std::vector<Event> items;  // FIFO for one cycle; head marks the drain point
-    std::size_t head = 0;
+  struct Node {
+    Event ev;
+    std::uint32_t next;  // next node in the bucket FIFO or the free list
   };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   struct Far {
     Cycle at;
     std::uint64_t seq;
@@ -188,14 +199,35 @@ class EventQueue {
       std::pop_heap(overflow_.begin(), overflow_.end(), FarLater{});
       Far f = std::move(overflow_.back());
       overflow_.pop_back();
-      const std::size_t idx = bucketIndex(f.at);
-      wheel_[idx].items.push_back(std::move(f.ev));
-      markOccupied(idx);
-      ++wheel_count_;
+      append(bucketIndex(f.at), std::move(f.ev));
     }
   }
 
-  std::vector<Bucket> wheel_;
+  /// Appends `ev` to the FIFO of bucket `idx`.
+  void append(std::size_t idx, Event ev) {
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n].ev = std::move(ev);
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{std::move(ev), kNil});
+    }
+    nodes_[n].next = kNil;
+    if (tail_[idx] == kNil) {
+      head_[idx] = n;
+      markOccupied(idx);
+    } else {
+      nodes_[tail_[idx]].next = n;
+    }
+    tail_[idx] = n;
+    ++wheel_count_;
+  }
+
+  std::vector<Node> nodes_;                     // slab of wheel events
+  std::uint32_t free_ = kNil;                   // free-list head in nodes_
+  std::array<std::uint32_t, kWheelSpan> head_;  // per-bucket FIFO front
+  std::array<std::uint32_t, kWheelSpan> tail_;  // per-bucket FIFO back
   std::array<std::uint64_t, kWords> bitmap_;
   std::uint64_t summary_ = 0;  // bit w set iff bitmap_[w] != 0
   std::vector<Far> overflow_;  // min-heap on (at, seq) via std::*_heap

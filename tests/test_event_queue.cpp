@@ -1,11 +1,15 @@
 // Tests for the timing-wheel event kernel: the allocation-free Event type,
 // same-cycle FIFO order across the bucket/overflow-heap boundary, wheel
-// wrap-around at large cycle deltas, teardown with pending events, and a
-// determinism regression against the seed (binary-heap) kernel.
+// wrap-around at large cycle deltas, a seeded differential test against an
+// ordered-map oracle, teardown with pending events, and a determinism
+// regression against the seed (binary-heap) kernel.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "eclipse/app/decode_app.hpp"
@@ -14,6 +18,7 @@
 #include "eclipse/media/video_gen.hpp"
 #include "eclipse/sim/event.hpp"
 #include "eclipse/sim/event_queue.hpp"
+#include "eclipse/sim/prng.hpp"
 #include "eclipse/sim/sim_event.hpp"
 #include "eclipse/sim/simulator.hpp"
 
@@ -155,6 +160,133 @@ TEST(EventQueueWheel, ClearDropsPendingHeapEventsWithoutInvoking) {
   EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(ran);
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// ------------------------------------------------- differential vs oracle
+
+// The oracle orders pending events by (cycle, push sequence): the queue's
+// contract is time order with FIFO among same-cycle events, whichever of
+// wheel bucket or overflow heap an event passed through.
+class QueueOracle {
+ public:
+  void push(Cycle at, int id) { pending_.emplace(std::make_pair(at, seq_++), id); }
+  std::pair<Cycle, int> pop() {
+    auto it = pending_.begin();
+    const std::pair<Cycle, int> front{it->first.first, it->second};
+    pending_.erase(it);
+    return front;
+  }
+  [[nodiscard]] Cycle nextCycle() const { return pending_.begin()->first.first; }
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  void clear() { pending_.clear(); }
+
+ private:
+  std::multimap<std::pair<Cycle, std::uint64_t>, int> pending_;
+  std::uint64_t seq_ = 0;
+};
+
+// Delay mix: same cycle, short, across the whole wheel, right at the
+// horizon (wheel vs overflow), several spans out (overflow migration) and
+// far beyond (window jumps over empty spans).
+Cycle randomDelay(Prng& rng) {
+  switch (rng.below(8)) {
+    case 0: return 0;
+    case 1:
+    case 2: return rng.below(16);
+    case 3: return rng.below(kSpan);
+    case 4: return kSpan - 2 + rng.below(4);
+    case 5: return kSpan + rng.below(3 * kSpan);
+    case 6: return rng.below(64) * kSpan;
+    default: return 100'000 + rng.below(10'000'000);
+  }
+}
+
+void runDifferential(std::uint64_t seed) {
+  SCOPED_TRACE(seed);
+  Prng rng(seed);
+  EventQueue q;
+  QueueOracle oracle;
+  auto token = std::make_shared<int>(0);  // held by heap-stored events
+  int fired = -1;
+  int next_id = 0;
+  Cycle now = 0;  // cycle of the last pop; pushes never go earlier
+
+  auto push = [&](Cycle at) {
+    const int id = next_id++;
+    if (rng.below(8) == 0) {
+      q.push(at, [token, &fired, id] { fired = id; });  // heap fallback
+    } else {
+      q.push(at, [&fired, id] { fired = id; });  // inline
+    }
+    oracle.push(at, id);
+  };
+  auto popAndCheck = [&] {
+    ASSERT_EQ(q.nextCycle(), oracle.nextCycle());
+    Cycle at = 0;
+    Event ev = q.pop(&at);
+    const auto [want_at, want_id] = oracle.pop();
+    ASSERT_EQ(at, want_at);
+    ASSERT_GE(at, now);
+    now = at;
+    ev();
+    ASSERT_EQ(fired, want_id);
+  };
+
+  for (int step = 0; step < 20'000; ++step) {
+    const auto op = rng.below(100);
+    if (op < 50 || q.empty()) {
+      push(now + randomDelay(rng));
+    } else if (op < 96) {
+      popAndCheck();
+      // Pushes while the popped cycle may still hold events: they must
+      // queue behind the same-cycle events already pending.
+      while (rng.below(3) == 0) push(now + (rng.below(2) == 0 ? 0 : rng.below(8)));
+    } else if (op < 99) {
+      const auto burst = 1 + rng.below(200);  // grow the slab, then drain
+      for (std::uint64_t i = 0; i < burst; ++i) push(now + rng.below(2 * kSpan));
+    } else {
+      q.clear();
+      oracle.clear();
+      ASSERT_EQ(token.use_count(), 1);  // dropped heap events are released
+    }
+    ASSERT_EQ(q.size(), oracle.size());
+    ASSERT_EQ(q.empty(), oracle.size() == 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  while (!q.empty()) {
+    popAndCheck();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(oracle.size(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueDifferential, RandomOpsMatchOrderedMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    runDifferential(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueueDifferential, ClearWithHeapEventsInWheelAndOverflowThenReuse) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  std::vector<int> order;
+  for (int i = 0; i < 50; ++i) {
+    const Cycle at = static_cast<Cycle>(i) * (kSpan / 8);  // wheel and overflow
+    q.push(at, [token, &order, i] { order.push_back(i); });
+  }
+  q.pop()();  // start draining: the window base is now 0
+  ASSERT_EQ(order, (std::vector<int>{0}));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(token.use_count(), 1);
+  // Freed slab nodes are reused in the right order after the clear.
+  order.clear();
+  for (int i = 0; i < 5; ++i) q.push(10, [&order, i] { order.push_back(i); });
+  q.push(9, [&order] { order.push_back(-1); });
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
 }
 
 // ------------------------------------------------------------- teardown

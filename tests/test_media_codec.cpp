@@ -240,6 +240,30 @@ TEST(Packets, MbBlocksAndPixelsRoundTrip) {
   EXPECT_EQ(back_px, px);
 }
 
+TEST(Packets, MbBlocksBytesMatchCoefficientByCoefficientEncoding) {
+  Prng rng(5);
+  MbBlocks blocks;
+  blocks.cbp = 0x2A;
+  blocks.intra = 0;
+  for (auto& b : blocks.blocks) {
+    for (auto& v : b) v = static_cast<std::int16_t>(rng.range(-32768, 32767));
+  }
+  ByteWriter bulk;
+  put(bulk, blocks);
+  ByteWriter each;  // the packet layout: cbp, intra, then every coefficient
+  each.u8(blocks.cbp);
+  each.u8(blocks.intra);
+  for (const auto& b : blocks.blocks) {
+    for (const auto v : b) each.i16(v);
+  }
+  EXPECT_EQ(bulk.data(), each.data());
+  // A truncated packet still underruns instead of reading past the end.
+  std::vector<std::uint8_t> cut(each.data().begin(), each.data().end() - 1);
+  ByteReader r(cut);
+  MbBlocks back;
+  EXPECT_THROW(get(r, back), std::runtime_error);
+}
+
 TEST(Packets, UnderrunThrows) {
   std::vector<std::uint8_t> tiny{1, 2};
   ByteReader r(tiny);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "eclipse/mem/bus.hpp"
@@ -86,6 +87,21 @@ TEST(Bus, ContendersSerialize) {
   EXPECT_EQ(bus.stats().busy_cycles, 10u);
   EXPECT_EQ(bus.perClientStats().at(0).bytes, 32u);
   EXPECT_EQ(bus.perClientStats().at(1).bytes, 32u);
+}
+
+TEST(Bus, PerClientStatsAreIndexedByClientId) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 0);
+  Cycle done = 0;
+  sim.spawn(doTransfer(bus, 16, 3, done, sim), "c3");
+  sim.run();
+  ASSERT_EQ(bus.perClientStats().size(), 4u);
+  EXPECT_EQ(bus.perClientStats().at(3).bytes, 16u);
+  EXPECT_EQ(bus.perClientStats().at(0).transactions, 0u);  // never transferred
+  sim.spawn(doTransfer(bus, 16, -1, done, sim), "bad");
+  EXPECT_THROW(sim.run(), std::invalid_argument);
+  bus.resetStats();
+  EXPECT_TRUE(bus.perClientStats().empty());
 }
 
 TEST(Bus, UtilizationFraction) {
@@ -222,6 +238,35 @@ TEST(MessageNetwork, UnattachedDestinationThrows) {
   Simulator sim;
   MessageNetwork net(sim, 1);
   EXPECT_THROW(net.send(SyncMessage{0, 9, 0, 1}), std::runtime_error);
+}
+
+TEST(MessageNetwork, InFlightMessageToDetachedShellIsDroppedAndCounted) {
+  Simulator sim;
+  MessageNetwork net(sim, 4);
+  int delivered = 0;
+  net.attach(2, [&](const SyncMessage&) { ++delivered; });
+  sim.schedule(0, [&] { net.send(SyncMessage{1, 2, 0, 8}); });
+  sim.schedule(1, [&] { net.detach(2); });  // before the delivery at cycle 4
+  sim.run();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(net.messagesSent(), 1u);
+  EXPECT_EQ(net.messagesUndeliverable(), 1u);
+}
+
+TEST(MessageNetwork, AttachingMoreShellsWhileMessagesAreInFlight) {
+  Simulator sim;
+  MessageNetwork net(sim, 4);
+  std::vector<std::uint32_t> seen;
+  net.attach(0, [&](const SyncMessage& m) { seen.push_back(m.bytes); });
+  sim.schedule(0, [&] { net.send(SyncMessage{1, 0, 0, 5}); });
+  // Growing the handler table moves the stored handlers; the pending
+  // delivery must still reach shell 0.
+  sim.schedule(1, [&] {
+    for (std::uint32_t id = 1; id < 64; ++id) net.attach(id, [](const SyncMessage&) {});
+  });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{5}));
+  EXPECT_EQ(net.messagesUndeliverable(), 0u);
 }
 
 // ----------------------------------------------------------------- PI-bus
