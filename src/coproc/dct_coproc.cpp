@@ -22,7 +22,8 @@ sim::Task<void> DctCoproc::step(sim::TaskId task, std::uint32_t task_info) {
     }
   }
   if (tag == media::PacketTag::Mb) {
-    media::MbBlocks in, out;
+    media::MbBlocks& in = mb_in_;
+    media::MbBlocks& out = mb_out_;
     // Parsed straight out of the committed view — fully consumed before
     // the delay suspension below.
     media::ByteReader r(packet_io::payloadOf(p.bytes));

@@ -57,6 +57,10 @@ class DctCoproc final : public Coprocessor {
   std::uint64_t blocks_ = 0;
   media::ByteWriter writer_;        // reusable Mb serialisation buffer
   std::vector<std::uint8_t> ctl_;  // staged control-packet passthrough
+  // Step scratch (steps are serial): kept out of the step's coroutine
+  // frame, which then fits the frame pool and is not zero-filled per MB.
+  media::MbBlocks mb_in_;
+  media::MbBlocks mb_out_;
 };
 
 }  // namespace eclipse::coproc

@@ -152,6 +152,11 @@ class McCoproc final : public Coprocessor {
   media::ByteWriter writer_;
   std::vector<std::uint8_t> region_, rcb_, rcr_;  // predictTimed fetches
   std::vector<std::uint8_t> win_f_, win_b_;       // decideMode search windows
+  // Per-MB step scratch (steps are serial): kept out of the step's
+  // coroutine frames, which then fit the frame pool.
+  media::MbBlocks mb_residual_;
+  media::MbPixels mb_cur_, mb_pred_, mb_recon_;
+  media::MbPixels mb_fwd_, mb_bwd_;  // the two predictions of a bidirectional MB
 };
 
 }  // namespace eclipse::coproc

@@ -68,6 +68,10 @@ class RlsqCoproc final : public Coprocessor {
   RlsqParams params_;
   std::map<sim::TaskId, TaskState> states_;
   media::ByteWriter writer_;  // reusable serialisation buffer (steps are serial)
+  // Step scratch, for the same reason: kept out of the step's coroutine
+  // frame, and the run/level vectors keep their capacity across MBs.
+  media::MbCoefs mb_coefs_;
+  media::MbBlocks mb_blocks_;
   std::uint64_t pairs_ = 0;
   std::uint64_t blocks_ = 0;
   std::uint64_t discarded_ = 0;

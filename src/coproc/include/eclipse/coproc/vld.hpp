@@ -97,6 +97,7 @@ class VldCoproc final : public Coprocessor {
   VldParams params_;
   std::map<sim::TaskId, TaskState> states_;
   media::ByteWriter writer_;  // reusable serialisation buffer (steps are serial)
+  media::stages::ParsedMb parsed_;  // step scratch: keeps its run/level capacity
   std::uint64_t symbols_ = 0;
   std::uint64_t pics_skipped_ = 0;
 };

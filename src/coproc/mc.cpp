@@ -56,17 +56,21 @@ sim::Task<void> McCoproc::fetchRegion(TaskState& st, std::int32_t slot, int plan
   // Timing: one 2D burst over the system bus of the region size.
   co_await dram_.touchRead(out.size(), static_cast<int>(shell_.id()));
 
-  // Function: clamped per-sample gather (replicated frame edges, exactly
-  // like motion::sampleHalfPel's full-pel clamping).
+  // Function: clamped gather (replicated frame edges, exactly like
+  // motion::sampleHalfPel's full-pel clamping). Rows that need no
+  // horizontal clamp are one copy.
   const auto view = dram_.storage().view();
+  const bool inside_x = x0 >= 0 && x0 + w <= g.width;
   for (int y = 0; y < h; ++y) {
     const int sy = clampi(y0 + y, 0, g.height - 1);
-    for (int x = 0; x < w; ++x) {
-      const int sx = clampi(x0 + x, 0, g.width - 1);
-      out[static_cast<std::size_t>(y * w + x)] =
-          view[static_cast<std::size_t>(base + static_cast<sim::Addr>(sy) * static_cast<sim::Addr>(g.stride) +
-                                        static_cast<sim::Addr>(sx))];
+    const std::uint8_t* src =
+        view.data() + base + static_cast<sim::Addr>(sy) * static_cast<sim::Addr>(g.stride);
+    std::uint8_t* dst = out.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    if (inside_x) {
+      std::copy_n(src + x0, w, dst);
+      continue;
     }
+    for (int x = 0; x < w; ++x) dst[x] = src[clampi(x0 + x, 0, g.width - 1)];
   }
 }
 
@@ -157,7 +161,8 @@ sim::Task<void> McCoproc::predictTimed(TaskState& st, const media::MbHeader& h,
       co_await fetchOne(bwd_slot, h.mv_bwd, pred);
       break;
     case media::MbMode::Bidirectional: {
-      media::MbPixels a, b;
+      media::MbPixels& a = mb_fwd_;
+      media::MbPixels& b = mb_bwd_;
       co_await fetchOne(fwd_slot, h.mv_fwd, a);
       co_await fetchOne(bwd_slot, h.mv_bwd, b);
       media::motion::average(a.y, b.y, pred.y);
@@ -375,14 +380,15 @@ sim::Task<void> McCoproc::stepDecodeRecon(sim::TaskId task, TaskState& st) {
     }
     case media::PacketTag::Mb: {
       media::MbHeader h;
-      media::MbBlocks residual;
+      media::MbBlocks& residual = mb_residual_;
       {
         media::ByteReader rh(packet_io::payloadOf(hdr.bytes));
         media::get(rh, h);
         media::ByteReader rr(packet_io::payloadOf(res.bytes));
         media::get(rr, residual);
       }
-      media::MbPixels pred, recon;
+      media::MbPixels& pred = mb_pred_;
+      media::MbPixels& recon = mb_recon_;
       co_await predictTimed(st, h, pred);
       media::stages::addResidualMb(pred, residual, recon);
       co_await sim_.delay(static_cast<sim::Cycle>(media::kBlocksPerMacroblock) *
@@ -442,7 +448,7 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
       break;
     }
     case media::PacketTag::Mb: {
-      media::MbPixels cur;
+      media::MbPixels& cur = mb_cur_;
       media::ByteReader r(packet_io::payloadOf(in.bytes));
       media::get(r, cur);
       const int mb_x = st.mb_index % (st.seq.width / media::kMbSize);
@@ -454,9 +460,9 @@ sim::Task<void> McCoproc::stepMotionEst(sim::TaskId task, TaskState& st) {
       h.qscale = st.seq.qscale;
       co_await decideMode(st, cur, h);
 
-      media::MbPixels pred;
+      media::MbPixels& pred = mb_pred_;
       co_await predictTimed(st, h, pred);
-      media::MbBlocks residual;
+      media::MbBlocks& residual = mb_residual_;
       media::stages::residualMb(cur, pred, residual);
       residual.intra = h.mode == media::MbMode::Intra ? 1 : 0;
       co_await sim_.delay(static_cast<sim::Cycle>(media::kBlocksPerMacroblock) *
@@ -540,14 +546,15 @@ sim::Task<void> McCoproc::stepEncodeRecon(sim::TaskId task, TaskState& st) {
     }
     case media::PacketTag::Mb: {
       media::MbHeader h;
-      media::MbBlocks residual;
+      media::MbBlocks& residual = mb_residual_;
       {
         media::ByteReader rh(packet_io::payloadOf(hdr.bytes));
         media::get(rh, h);
         media::ByteReader rr(packet_io::payloadOf(res.bytes));
         media::get(rr, residual);
       }
-      media::MbPixels pred, recon;
+      media::MbPixels& pred = mb_pred_;
+      media::MbPixels& recon = mb_recon_;
       co_await predictTimed(st, h, pred);
       media::stages::addResidualMb(pred, residual, recon);
       co_await sim_.delay(static_cast<sim::Cycle>(media::kBlocksPerMacroblock) *

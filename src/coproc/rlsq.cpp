@@ -76,10 +76,10 @@ sim::Task<void> RlsqCoproc::stepDecode(sim::TaskId task, TaskState& st) {
       break;
     }
     case media::PacketTag::Mb: {
-      media::MbCoefs coefs;
+      media::MbCoefs& coefs = mb_coefs_;
       media::ByteReader r(packet_io::payloadOf(p.bytes));
       media::get(r, coefs);
-      media::MbBlocks out;
+      media::MbBlocks& out = mb_blocks_;
       media::stages::rlsqDecode(coefs, coefs.intra != 0, st.seq, out);
       out.intra = coefs.intra;
       const std::uint64_t np = pairCount(coefs);
@@ -141,10 +141,10 @@ sim::Task<void> RlsqCoproc::stepEncode(sim::TaskId task, TaskState& st) {
       break;
     }
     case media::PacketTag::Mb: {
-      media::MbBlocks in;
+      media::MbBlocks& in = mb_blocks_;
       media::ByteReader r(packet_io::payloadOf(p.bytes));
       media::get(r, in);
-      media::MbCoefs out;
+      media::MbCoefs& out = mb_coefs_;
       media::stages::rlsqEncode(in, in.intra != 0, st.seq, st.pic.qscale, out);
       const std::uint64_t np = pairCount(out);
       pairs_ += np;

@@ -122,7 +122,8 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       const int mb_w = st.seq.width / media::kMbSize;
       const auto mb_x = static_cast<std::uint16_t>(st.mb_index % mb_w);
       const auto mb_y = static_cast<std::uint16_t>(st.mb_index / mb_w);
-      auto parsed = media::stages::parseMb(*st.reader, st.pic.type, mb_x, mb_y, st.pic.qscale);
+      media::stages::ParsedMb& parsed = parsed_;
+      media::stages::parseMb(*st.reader, st.pic.type, mb_x, mb_y, st.pic.qscale, parsed);
       co_await ensureFetched(st);
       co_await sim_.delay(static_cast<sim::Cycle>(parsed.symbols) * params_.cycles_per_symbol);
       symbols_ += static_cast<std::uint64_t>(parsed.symbols);

@@ -122,7 +122,14 @@ void writeMb(BitWriter& bw, const MbHeader& h, const MbCoefs& coefs) {
 ParsedMb parseMb(BitReader& br, FrameType pic_type, std::uint16_t mb_x, std::uint16_t mb_y,
                  std::uint8_t pic_qscale) {
   ParsedMb out;
+  parseMb(br, pic_type, mb_x, mb_y, pic_qscale, out);
+  return out;
+}
+
+void parseMb(BitReader& br, FrameType pic_type, std::uint16_t mb_x, std::uint16_t mb_y,
+             std::uint8_t pic_qscale, ParsedMb& out) {
   MbHeader& h = out.header;
+  h = MbHeader{};
   h.mb_x = mb_x;
   h.mb_y = mb_y;
   h.qscale = pic_qscale;
@@ -151,13 +158,14 @@ ParsedMb parseMb(BitReader& br, FrameType pic_type, std::uint16_t mb_x, std::uin
   out.coefs.intra = h.mode == MbMode::Intra ? 1 : 0;
   out.coefs.qscale = pic_qscale;
   for (int b = 0; b < kBlocksPerMacroblock; ++b) {
+    auto& pairs = out.coefs.blocks[static_cast<std::size_t>(b)];
     if ((h.cbp & (1u << b)) != 0) {
-      out.coefs.blocks[static_cast<std::size_t>(b)] = vlc::getBlock(br);
-      out.symbols +=
-          static_cast<int>(out.coefs.blocks[static_cast<std::size_t>(b)].size()) + 1;  // + EOB
+      vlc::getBlock(br, pairs);
+      out.symbols += static_cast<int>(pairs.size()) + 1;  // + EOB
+    } else {
+      pairs.clear();
     }
   }
-  return out;
 }
 
 void rlsqDecode(const MbCoefs& in, bool intra, const SeqHeader& sh, MbBlocks& out) {
@@ -560,6 +568,7 @@ std::vector<Frame> Decoder::decode(std::span<const std::uint8_t> bitstream) {
   const Frame* bwd_ref = nullptr;
   int prev_ref_display = -1;
   int last_ref_display = -1;
+  stages::ParsedMb parsed;  // reused: keeps its run/level capacity
 
   for (int pic = 0; pic < seq_.frame_count; ++pic) {
     const PicHeader ph = stages::parsePicHeader(br);
@@ -578,8 +587,8 @@ std::vector<Frame> Decoder::decode(std::span<const std::uint8_t> bitstream) {
 
     for (int mb_y = 0; mb_y < mb_h; ++mb_y) {
       for (int mb_x = 0; mb_x < mb_w; ++mb_x) {
-        auto parsed = stages::parseMb(br, ph.type, static_cast<std::uint16_t>(mb_x),
-                                      static_cast<std::uint16_t>(mb_y), ph.qscale);
+        stages::parseMb(br, ph.type, static_cast<std::uint16_t>(mb_x),
+                        static_cast<std::uint16_t>(mb_y), ph.qscale, parsed);
         ps.symbols += static_cast<std::uint32_t>(parsed.symbols);
         const bool intra = parsed.header.mode == MbMode::Intra;
         switch (parsed.header.mode) {

@@ -73,6 +73,10 @@ struct ParsedMb {
 [[nodiscard]] ParsedMb parseMb(BitReader& br, FrameType pic_type, std::uint16_t mb_x,
                                std::uint16_t mb_y, std::uint8_t pic_qscale);
 
+/// parseMb into `out`, whose run/level vectors keep their capacity.
+void parseMb(BitReader& br, FrameType pic_type, std::uint16_t mb_x, std::uint16_t mb_y,
+             std::uint8_t pic_qscale, ParsedMb& out);
+
 // --- RLSQ: run-length (de)coding, (inverse) scan, (de)quantisation ---
 
 /// Decode direction: run/level pairs -> dequantised coefficient blocks.

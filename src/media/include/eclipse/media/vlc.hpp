@@ -25,6 +25,9 @@ void putBlock(BitWriter& bw, const std::vector<rle::RunLevel>& pairs);
 /// Throws BitstreamError on malformed input.
 [[nodiscard]] std::vector<rle::RunLevel> getBlock(BitReader& br);
 
+/// getBlock into `out`, which is cleared first and keeps its capacity.
+void getBlock(BitReader& br, std::vector<rle::RunLevel>& out);
+
 /// Exact coded size in bits of one pair (for load modelling and tests).
 [[nodiscard]] int pairBits(const rle::RunLevel& pair);
 

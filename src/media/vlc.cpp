@@ -40,13 +40,18 @@ void putBlock(BitWriter& bw, const std::vector<rle::RunLevel>& pairs) {
 }
 
 std::vector<rle::RunLevel> getBlock(BitReader& br) {
+  std::vector<rle::RunLevel> pairs;
+  getBlock(br, pairs);
+  return pairs;
+}
+
+void getBlock(BitReader& br, std::vector<rle::RunLevel>& out) {
   // Decode goes through the kernel table: the scalar backend is the
   // original bit-at-a-time loop, SIMD backends use a table-driven
   // multi-bit decoder with identical output, exceptions and bit
   // consumption (fault recovery resumes from the reader's position).
-  std::vector<rle::RunLevel> pairs;
-  kernels::active().vlc_get_block(br, pairs);
-  return pairs;
+  out.clear();
+  kernels::active().vlc_get_block(br, out);
 }
 
 int pairBits(const rle::RunLevel& pair) {

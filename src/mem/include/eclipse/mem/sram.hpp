@@ -6,10 +6,35 @@
 
 #include "eclipse/mem/bus.hpp"
 #include "eclipse/mem/storage.hpp"
-#include "eclipse/sim/coro.hpp"
 #include "eclipse/sim/simulator.hpp"
 
 namespace eclipse::mem {
+
+/// Awaiter of a timed read: the bus access, then the copy out of storage
+/// at the completion cycle.
+struct ReadAccess : Bus::Access {
+  ReadAccess(Bus& bus, sim::Cycle latency, const Storage& s, sim::Addr a,
+             std::span<std::uint8_t> o, int client)
+      : Bus::Access(bus, o.size(), client, latency), storage(&s), addr(a), out(o) {}
+  void await_resume() const { storage->read(addr, out); }
+
+  const Storage* storage;
+  sim::Addr addr;
+  std::span<std::uint8_t> out;
+};
+
+/// Awaiter of a timed write: the bus access, then the copy into storage
+/// at the completion cycle.
+struct WriteAccess : Bus::Access {
+  WriteAccess(Bus& bus, sim::Cycle latency, Storage& s, sim::Addr a,
+              std::span<const std::uint8_t> i, int client)
+      : Bus::Access(bus, i.size(), client, latency), storage(&s), addr(a), in(i) {}
+  void await_resume() const { storage->write(addr, in); }
+
+  Storage* storage;
+  sim::Addr addr;
+  std::span<const std::uint8_t> in;
+};
 
 /// Parameters for the central on-chip stream-buffer memory.
 ///
@@ -30,24 +55,19 @@ struct SramParams {
 class SharedSram {
  public:
   SharedSram(sim::Simulator& sim, const SramParams& params)
-      : sim_(sim),
-        params_(params),
+      : params_(params),
         storage_(params.size_bytes),
         read_bus_(sim, "sram.read", params.bus_width_bytes, params.bus_arbitration_latency),
         write_bus_(sim, "sram.write", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
   /// Timed read of `out.size()` bytes at `addr` on behalf of `client`.
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
-    co_await read_bus_.transfer(out.size(), client);
-    co_await sim_.delay(params_.access_latency);
-    storage_.read(addr, out);
+  [[nodiscard]] ReadAccess read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
+    return ReadAccess(read_bus_, params_.access_latency, storage_, addr, out, client);
   }
 
   /// Timed write of `in.size()` bytes at `addr` on behalf of `client`.
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
-    co_await write_bus_.transfer(in.size(), client);
-    co_await sim_.delay(params_.access_latency);
-    storage_.write(addr, in);
+  [[nodiscard]] WriteAccess write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
+    return WriteAccess(write_bus_, params_.access_latency, storage_, addr, in, client);
   }
 
   /// Timing-only accesses: occupy the bus and pay the access latency for a
@@ -55,13 +75,20 @@ class SharedSram {
   /// of the same size — used where the model splits function from timing
   /// (the zero-copy transport path: data moves through window views while
   /// the stream caches replay the original fill/flush traffic).
-  sim::Task<void> touchRead(std::size_t bytes, int client) {
-    co_await read_bus_.transfer(bytes, client);
-    co_await sim_.delay(params_.access_latency);
+  [[nodiscard]] Bus::Access touchRead(std::size_t bytes, int client) {
+    return read_bus_.access(bytes, client, params_.access_latency);
   }
-  sim::Task<void> touchWrite(std::size_t bytes, int client) {
-    co_await write_bus_.transfer(bytes, client);
-    co_await sim_.delay(params_.access_latency);
+  [[nodiscard]] Bus::Access touchWrite(std::size_t bytes, int client) {
+    return write_bus_.access(bytes, client, params_.access_latency);
+  }
+
+  /// touchRead for a callback chain: fills in `t` and starts it on the
+  /// read bus (see Bus::start); `t.done` must be set.
+  void startTouchRead(Bus::Transfer& t, std::size_t bytes, int client) {
+    t.bytes = bytes;
+    t.client = client;
+    t.post = params_.access_latency;
+    read_bus_.start(t);
   }
 
   /// Homes the SRAM (storage + both buses) on one shard. Every shell that
@@ -79,7 +106,6 @@ class SharedSram {
   [[nodiscard]] const SramParams& params() const { return params_; }
 
  private:
-  sim::Simulator& sim_;
   SramParams params_;
   Storage storage_;
   Bus read_bus_;
@@ -100,33 +126,26 @@ struct DramParams {
 class OffChipMemory {
  public:
   OffChipMemory(sim::Simulator& sim, const DramParams& params)
-      : sim_(sim),
-        params_(params),
+      : params_(params),
         storage_(params.size_bytes),
         bus_(sim, "system.bus", params.bus_width_bytes, params.bus_arbitration_latency) {}
 
-  sim::Task<void> read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
-    co_await bus_.transfer(out.size(), client);
-    co_await sim_.delay(params_.access_latency);
-    storage_.read(addr, out);
+  [[nodiscard]] ReadAccess read(sim::Addr addr, std::span<std::uint8_t> out, int client) {
+    return ReadAccess(bus_, params_.access_latency, storage_, addr, out, client);
   }
 
-  sim::Task<void> write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
-    co_await bus_.transfer(in.size(), client);
-    co_await sim_.delay(params_.access_latency);
-    storage_.write(addr, in);
+  [[nodiscard]] WriteAccess write(sim::Addr addr, std::span<const std::uint8_t> in, int client) {
+    return WriteAccess(bus_, params_.access_latency, storage_, addr, in, client);
   }
 
   /// Timing-only accesses: occupy the bus and pay the access latency for a
   /// `bytes`-sized burst without moving data. Used where the model splits
   /// function from timing (e.g. 2D region gathers in the MC coprocessor).
-  sim::Task<void> touchRead(std::size_t bytes, int client) {
-    co_await bus_.transfer(bytes, client);
-    co_await sim_.delay(params_.access_latency);
+  [[nodiscard]] Bus::Access touchRead(std::size_t bytes, int client) {
+    return bus_.access(bytes, client, params_.access_latency);
   }
-  sim::Task<void> touchWrite(std::size_t bytes, int client) {
-    co_await bus_.transfer(bytes, client);
-    co_await sim_.delay(params_.access_latency);
+  [[nodiscard]] Bus::Access touchWrite(std::size_t bytes, int client) {
+    return bus_.access(bytes, client, params_.access_latency);
   }
 
   /// Homes the off-chip memory (storage + system bus) on one shard; see
@@ -140,7 +159,6 @@ class OffChipMemory {
   [[nodiscard]] const DramParams& params() const { return params_; }
 
  private:
-  sim::Simulator& sim_;
   DramParams params_;
   Storage storage_;
   Bus bus_;

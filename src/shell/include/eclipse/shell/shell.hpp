@@ -164,8 +164,8 @@ class Shell {
 
   /// Shard (lane) this shell executes on in a sharded simulation. Set by
   /// the app-layer partitioner before start; everything the shell spawns
-  /// (its coprocessor control loop, watchdog, profiler, cache prefetches)
-  /// runs on this lane.
+  /// (its coprocessor control loop, watchdog, profiler) runs on this lane,
+  /// and so do its cache prefetches, which start from its own events.
   void setShard(sim::ShardId shard) { shard_ = shard; }
   [[nodiscard]] sim::ShardId shard() const { return shard_; }
   [[nodiscard]] StreamTable& streams() { return streams_; }

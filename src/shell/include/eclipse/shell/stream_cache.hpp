@@ -1,8 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "eclipse/mem/sram.hpp"
@@ -26,41 +25,41 @@ namespace eclipse::shell {
 ///
 /// Since the zero-copy transport refactor the cache is a pure *timing*
 /// model: the functional bytes live in the SRAM's Storage and move through
-/// WindowViews, while touchRead/touchWrite replay exactly the hit / miss /
-/// fill / flush traffic the copying cache performed — fills still read the
-/// SRAM (timed, into the flat backing), flushes and evictions charge the
-/// same write-bus burst without moving data (the SRAM already holds the
-/// current bytes; a data flush would overwrite them with a stale mirror).
+/// WindowViews, while an access replays exactly the hit / miss / fill /
+/// flush traffic the copying cache performed — fills and flushes charge the
+/// same SRAM bus bursts without moving data (the SRAM already holds the
+/// current bytes).
+///
+/// An access is split in two: hitWalk() accounts the leading run of hits
+/// synchronously, and only an access that reaches a missing or pending line
+/// runs missWalk(), the one coroutine that can suspend (on a pending line,
+/// a dirty-victim flush or a fill).
 ///
 /// Prefetching: a read may carry a line-aligned prefetch hint (computed by
 /// the shell, limited to the granted window). The prefetch fetches in the
-/// background; a later access to a pending line waits for its completion,
-/// which is how prefetch latency hiding shows up in the timing.
+/// background, as a callback chain whose bus node lives in its line; a
+/// later access to a pending line waits for its completion, which is how
+/// prefetch latency hiding shows up in the timing.
 class StreamCache {
  public:
   StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
-              std::uint32_t n_lines, int client_id)
-      : sim_(sim),
-        sram_(sram),
-        line_bytes_(line_bytes),
-        client_(client_id),
-        event_(sim),
-        lines_(n_lines),
-        backing_(static_cast<std::size_t>(line_bytes) * n_lines) {}
+              std::uint32_t n_lines, int client_id);
 
   StreamCache(const StreamCache&) = delete;
   StreamCache& operator=(const StreamCache&) = delete;
 
-  /// Timing of a read of `len` bytes at SRAM address `addr` through the
-  /// cache (per-line hit/miss walk; misses fill from SRAM over the read
-  /// bus). `prefetch_addr`, when set, is a line-aligned address to fetch
-  /// in the background after servicing the read.
-  sim::Task<void> touchRead(StreamRow& row, sim::Addr addr, std::size_t len,
-                            std::optional<sim::Addr> prefetch_addr);
+  /// Synchronous start of an access of `len` bytes at SRAM address `addr`:
+  /// walks the lines while each is a valid hit (counting the hit, updating
+  /// LRU, marking the line dirty for a write) and returns the bytes those
+  /// hits cover. When that is less than `len`, the rest of the access
+  /// starts at a missing or pending line and belongs to missWalk().
+  std::size_t hitWalk(StreamRow& row, sim::Addr addr, std::size_t len, bool writing);
 
-  /// Timing of a write of `len` bytes at SRAM address `addr`; write-back
-  /// with write-allocate (read-modify-write fetch for partial lines).
-  sim::Task<void> touchWrite(StreamRow& row, sim::Addr addr, std::size_t len);
+  /// The per-line walk of an access from a line that hitWalk() stopped at:
+  /// misses fill from SRAM over the read bus (timing only); a write that
+  /// covers a whole missing line allocates it without a fill (write-back,
+  /// write-allocate).
+  sim::Task<void> missWalk(StreamRow& row, sim::Addr addr, std::size_t len, bool writing);
 
   /// Flushes dirty lines overlapping [addr, addr+len): charges the write
   /// burst per line (timing-only; SRAM is current) and clears dirty bits.
@@ -80,46 +79,41 @@ class StreamCache {
  private:
   enum class State : std::uint8_t { Invalid, Pending, Valid };
 
-  /// Line metadata; the data lives in the flat `backing_` allocation at
-  /// index * line_bytes_.
+  struct Line;
+
+  /// Bus node of a line's background prefetch fill.
+  struct Fill : mem::Bus::Transfer {
+    StreamCache* cache = nullptr;
+    Line* line = nullptr;
+  };
+
   struct Line {
     State state = State::Invalid;
     sim::Addr tag = 0;  // line-aligned SRAM address
     bool dirty = false;
     bool drop = false;  // invalidated while a fill was in flight
     std::uint64_t lru = 0;
+    Fill fill;  // in use while a prefetch of this line is in flight
   };
 
   [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a / line_bytes_ * line_bytes_; }
 
-  /// The backing slice of one line.
-  [[nodiscard]] std::span<std::uint8_t> lineData(const Line* l) {
-    const auto idx = static_cast<std::size_t>(l - lines_.data());
-    return {backing_.data() + idx * line_bytes_, line_bytes_};
-  }
-
   /// Finds the line holding `line_addr` in any non-Invalid state.
   Line* find(sim::Addr line_addr);
 
-  /// Returns a line for `line_addr`, fetching from SRAM unless
-  /// `whole_line_write` allows allocation without a fill. Waits on pending
-  /// lines. Accounts hits/misses into `row`.
-  sim::Task<Line*> acquire(StreamRow& row, sim::Addr line_addr, bool whole_line_write);
+  /// The eviction choice: the first Invalid line, else the LRU Valid line,
+  /// else null (every line is pending a fill).
+  Line* pickVictim();
 
-  /// Picks an eviction victim (LRU among Valid lines), flushing if dirty.
-  /// Suspends while every line is Pending.
-  sim::Task<Line*> victim(StreamRow& row);
-
-  /// Background prefetch fill of one line.
-  sim::Task<void> prefetchTask(StreamRow& row, Line* line);
+  /// Completion of a prefetch fill.
+  static void onPrefetchFilled(mem::Bus::Transfer& t);
 
   sim::Simulator& sim_;
   mem::SharedSram& sram_;
   std::uint32_t line_bytes_;
   int client_;
   sim::SimEvent event_;
-  std::vector<Line> lines_;
-  std::vector<std::uint8_t> backing_;  // all line data, contiguous
+  std::vector<Line> lines_;  // never resized: fills point into it
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -308,18 +308,19 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
   const sim::Cycle t0 = sim_.now() - xfer;  // include the port handshake
   std::uint64_t done = 0;
   const std::uint64_t start = row.pos + offset;
+  StreamCache& cache = *ports_[idx].cache;
   while (done < n) {
     const std::uint64_t off = (start + done) % row.size;
-    const std::uint64_t seg = std::min<std::uint64_t>(n - done, row.size - off);
-    if (writing) {
-      co_await ports_[idx].cache->touchWrite(row, row.base + off,
-                                             static_cast<std::size_t>(seg));
-    } else {
-      const bool last = done + seg >= n;
-      co_await ports_[idx].cache->touchRead(row, row.base + off, static_cast<std::size_t>(seg),
-                                            last ? hint : std::nullopt);
+    const auto seg =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n - done, row.size - off));
+    const sim::Addr addr = row.base + off;
+    // Leading hits are accounted synchronously; only a miss or a pending
+    // line costs a coroutine.
+    if (const std::size_t hit = cache.hitWalk(row, addr, seg, writing); hit < seg) {
+      co_await cache.missWalk(row, addr + hit, seg - hit, writing);
     }
     done += seg;
+    if (!writing && done >= n && hint.has_value()) cache.startPrefetch(row, *hint);
   }
   row.access_latency.add(static_cast<double>(sim_.now() - t0));
 
@@ -341,12 +342,12 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
 
 sim::Task<WindowView> Shell::acquireRead(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                          std::size_t n) {
-  co_return co_await acquire(task, port, offset, n, /*writing=*/false);
+  return acquire(task, port, offset, n, /*writing=*/false);
 }
 
 sim::Task<WindowView> Shell::acquireWrite(sim::TaskId task, sim::PortId port, std::uint64_t offset,
                                           std::size_t n) {
-  co_return co_await acquire(task, port, offset, n, /*writing=*/true);
+  return acquire(task, port, offset, n, /*writing=*/true);
 }
 
 sim::Task<void> Shell::read(sim::TaskId task, sim::PortId port, std::uint64_t offset,

@@ -27,8 +27,8 @@ class Simulator;
 using ShardId = std::uint32_t;
 
 /// Sentinel for spawn(): pick the shard automatically — the lane currently
-/// executing when called from inside an event (e.g. a cache-prefetch process
-/// spawned mid-run inherits its parent's lane), shard 0 otherwise.
+/// executing when called from inside an event (a process spawned mid-run
+/// inherits its parent's lane), shard 0 otherwise.
 inline constexpr ShardId kAutoShard = std::numeric_limits<ShardId>::max();
 
 /// Per-shard scheduler: the PR-1 two-level timing wheel plus the lane-local

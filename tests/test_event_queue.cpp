@@ -14,8 +14,6 @@
 
 #include "eclipse/app/decode_app.hpp"
 #include "eclipse/app/instance.hpp"
-#include "eclipse/media/codec.hpp"
-#include "eclipse/media/video_gen.hpp"
 #include "eclipse/sim/event.hpp"
 #include "eclipse/sim/event_queue.hpp"
 #include "eclipse/sim/prng.hpp"
@@ -23,6 +21,7 @@
 #include "eclipse/sim/simulator.hpp"
 
 #include "decode_pin.hpp"
+#include "pin_workload.hpp"
 
 namespace {
 
@@ -321,22 +320,7 @@ TEST(SimulatorTeardown, DestroyProcessesWithPendingInlineEvents) {
 // (96x80, 5 frames, qscale 14, GOP {9,3}, seed 3) and may only change
 // when the *timing model* changes — never from kernel data structures.
 TEST(Determinism, TimedDecodeMatchesSeedKernel) {
-  media::VideoGenParams vp;
-  vp.width = 96;
-  vp.height = 80;
-  vp.frames = 5;
-  vp.seed = 3;
-  vp.detail = 8;
-  vp.noise_level = 0.0;
-  vp.motion_speed = 4;
-  const auto frames = media::generateVideo(vp);
-  media::CodecParams cp;
-  cp.width = vp.width;
-  cp.height = vp.height;
-  cp.qscale = 14;
-  cp.gop = {9, 3};
-  media::Encoder enc(cp);
-  const auto bitstream = enc.encode(frames);
+  const auto bitstream = pin::pinBitstream();
 
   app::EclipseInstance inst;
   app::DecodeApp dec(inst, bitstream);
@@ -345,6 +329,32 @@ TEST(Determinism, TimedDecodeMatchesSeedKernel) {
   EXPECT_EQ(cycles, pin::kDecodePinCycles);
   EXPECT_EQ(inst.simulator().eventsDispatched(), pin::kDecodePinEvents);
   EXPECT_EQ(dec.macroblocksDecoded(), pin::kDecodePinMacroblocks);
+
+  // The stream-cache and bus counters under those cycles.
+  std::uint64_t hits = 0, misses = 0, flushes = 0, prefetches = 0;
+  for (auto& sh : inst.shells()) {
+    for (std::uint32_t i = 0; i < sh->streams().capacity(); ++i) {
+      const shell::StreamRow& r = sh->streams().row(i);
+      if (!r.valid) continue;
+      hits += r.cache_hits;
+      misses += r.cache_misses;
+      flushes += r.cache_flushes;
+      prefetches += r.prefetches;
+    }
+  }
+  EXPECT_EQ(hits, pin::kDecodePinCacheHits);
+  EXPECT_EQ(misses, pin::kDecodePinCacheMisses);
+  EXPECT_EQ(flushes, pin::kDecodePinCacheFlushes);
+  EXPECT_EQ(prefetches, pin::kDecodePinPrefetches);
+  const mem::BusStats& rd = inst.sram().readBus().stats();
+  const mem::BusStats& wr = inst.sram().writeBus().stats();
+  const mem::BusStats& sys = inst.dram().bus().stats();
+  EXPECT_EQ(rd.transactions, pin::kDecodePinSramReadTransactions);
+  EXPECT_EQ(rd.busy_cycles, pin::kDecodePinSramReadBusy);
+  EXPECT_EQ(wr.transactions, pin::kDecodePinSramWriteTransactions);
+  EXPECT_EQ(wr.busy_cycles, pin::kDecodePinSramWriteBusy);
+  EXPECT_EQ(sys.transactions, pin::kDecodePinSystemBusTransactions);
+  EXPECT_EQ(sys.busy_cycles, pin::kDecodePinSystemBusBusy);
 
   // And identical across runs in the same process (no hidden state).
   app::EclipseInstance inst2;

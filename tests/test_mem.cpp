@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "eclipse/mem/bus.hpp"
@@ -102,6 +103,91 @@ TEST(Bus, PerClientStatsAreIndexedByClientId) {
   EXPECT_THROW(sim.run(), std::invalid_argument);
   bus.resetStats();
   EXPECT_TRUE(bus.perClientStats().empty());
+}
+
+// A transfer driven by callbacks (Bus::start), as a stream-cache prefetch
+// is: records the cycle it was done at.
+struct CallbackTransfer : Bus::Transfer {
+  Simulator* sim = nullptr;
+  std::vector<std::pair<int, Cycle>>* log = nullptr;
+  int id = 0;
+};
+
+void logDone(Bus::Transfer& t) {
+  auto& c = static_cast<CallbackTransfer&>(t);
+  c.log->emplace_back(c.id, c.sim->now());
+}
+
+Task<void> loggedAccess(Bus& bus, std::size_t bytes, Cycle post, int id, Simulator& sim,
+                        std::vector<std::pair<int, Cycle>>& log) {
+  co_await bus.access(bytes, id, post);
+  log.emplace_back(id, sim.now());
+}
+
+TEST(Bus, GrantPassesInArrivalOrderAcrossAwaitersAndCallbacks) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 1);
+  std::vector<std::pair<int, Cycle>> log;
+  CallbackTransfer t1;
+  t1.bytes = 16;  // 1 + 2 cycles
+  t1.client = 1;
+  t1.done = &logDone;
+  t1.sim = &sim;
+  t1.log = &log;
+  t1.id = 1;
+  CallbackTransfer t3 = t1;
+  t3.bytes = 24;  // 1 + 3 cycles
+  t3.client = 3;
+  t3.id = 3;
+  sim.spawn(loggedAccess(bus, 32, 0, 0, sim, log), "a0");  // holds 0..5
+  sim.schedule(0, [&] { bus.start(t1); });
+  sim.spawn(loggedAccess(bus, 8, 0, 2, sim, log), "a2");
+  sim.schedule(0, [&] { bus.start(t3); });
+  sim.run();
+  // Each grant passes at the holder's release, in request order, whatever
+  // the kind of requester.
+  const std::vector<std::pair<int, Cycle>> want{{0, 5}, {1, 8}, {2, 10}, {3, 14}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(bus.stats().transactions, 4u);
+  EXPECT_EQ(bus.stats().busy_cycles, 14u);
+  EXPECT_EQ(bus.perClientStats().at(3).bytes, 24u);
+}
+
+TEST(Bus, PostLatencyRunsAfterTheGrantIsReleased) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 1);
+  std::vector<std::pair<int, Cycle>> log;
+  CallbackTransfer t2;
+  t2.bytes = 8;
+  t2.client = 2;
+  t2.post = 6;
+  t2.done = &logDone;
+  t2.sim = &sim;
+  t2.log = &log;
+  t2.id = 2;
+  sim.spawn(loggedAccess(bus, 16, 4, 0, sim, log), "a0");  // burst 0..3, done 7
+  sim.spawn(loggedAccess(bus, 8, 0, 1, sim, log), "a1");   // burst 3..5
+  sim.schedule(0, [&] { bus.start(t2); });                 // burst 5..7, done 13
+  sim.run();
+  const std::vector<std::pair<int, Cycle>> want{{1, 5}, {0, 7}, {2, 13}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(bus.stats().busy_cycles, 7u);
+}
+
+TEST(Bus, ZeroCycleTransferCompletesWithoutSuspending) {
+  Simulator sim;
+  Bus bus(sim, "b", 8, 0);
+  std::vector<std::pair<int, Cycle>> log;
+  CallbackTransfer t;
+  t.bytes = 0;
+  t.done = &logDone;
+  t.sim = &sim;
+  t.log = &log;
+  bus.start(t);  // free bus, no burst, no post: done inside start()
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(sim.eventsDispatched(), 0u);
+  EXPECT_TRUE(sim.quiescent());
+  EXPECT_EQ(bus.stats().transactions, 1u);
 }
 
 TEST(Bus, UtilizationFraction) {

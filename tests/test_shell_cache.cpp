@@ -249,4 +249,78 @@ TEST_F(ShellCache, RandomizedStressIsBitExact) {
   EXPECT_TRUE(ok);
 }
 
+// --------------------------------------------- stream cache, driven directly
+
+// One 64-byte-line, two-line cache on a 16-byte SRAM read bus (1 cycle
+// arbitration + 4 data + 1 access latency per line fill).
+struct DirectCache {
+  sim::Simulator sim;
+  mem::SharedSram sram{sim, mem::SramParams{}};
+  shell::StreamCache cache{sim, sram, 64, 2, 0};
+  shell::StreamRow row;
+};
+
+Task<void> readLine(DirectCache& d, sim::Addr addr, sim::Cycle& done_at) {
+  if (const std::size_t hit = d.cache.hitWalk(d.row, addr, 64, false); hit < 64) {
+    co_await d.cache.missWalk(d.row, addr + hit, 64 - hit, false);
+  }
+  done_at = d.sim.now();
+}
+
+TEST(StreamCacheDirect, PrefetchedLineHitsSynchronously) {
+  DirectCache d;
+  d.cache.startPrefetch(d.row, 0);
+  d.sim.run();  // the fill lands at cycle 6
+  EXPECT_EQ(d.cache.hitWalk(d.row, 0, 64, false), 64u);
+  EXPECT_EQ(d.row.cache_hits, 1u);
+  EXPECT_EQ(d.row.cache_misses, 0u);
+  EXPECT_EQ(d.row.prefetches, 1u);
+  EXPECT_EQ(d.sram.readBus().stats().transactions, 1u);
+  EXPECT_EQ(d.sim.liveProcesses(), 0u);  // the prefetch is no process
+}
+
+TEST(StreamCacheDirect, AccessWaitsForAPendingPrefetchThenHits) {
+  DirectCache d;
+  d.cache.startPrefetch(d.row, 0);
+  sim::Cycle done = 0;
+  d.sim.spawn(readLine(d, 0, done), "r");
+  d.sim.run();
+  EXPECT_EQ(done, 6u);  // woken by the fill, not a second fill
+  EXPECT_EQ(d.row.cache_hits, 1u);
+  EXPECT_EQ(d.row.cache_misses, 0u);
+  EXPECT_EQ(d.sram.readBus().stats().transactions, 1u);
+}
+
+TEST(StreamCacheDirect, PrefetchInvalidatedInFlightIsDropped) {
+  DirectCache d;
+  d.cache.startPrefetch(d.row, 0);
+  // A window extension supersedes the line while its fill is in flight.
+  d.sim.schedule(2, [&] { d.cache.invalidateRange(d.row, 0, 64); });
+  d.sim.run();
+  EXPECT_EQ(d.row.cache_invalidations, 1u);
+  EXPECT_EQ(d.cache.hitWalk(d.row, 0, 64, false), 0u);  // dropped on arrival
+  sim::Cycle done = 0;
+  d.sim.spawn(readLine(d, 0, done), "r");
+  const sim::Cycle start = d.sim.now();
+  d.sim.run();
+  EXPECT_EQ(done - start, 6u);  // a fresh miss and fill
+  EXPECT_EQ(d.row.cache_misses, 1u);
+  EXPECT_EQ(d.row.cache_hits, 0u);
+  EXPECT_EQ(d.sram.readBus().stats().transactions, 2u);
+}
+
+TEST(StreamCacheDirect, AccessWaitingOnADroppedPrefetchMissesAgain) {
+  DirectCache d;
+  d.cache.startPrefetch(d.row, 0);
+  sim::Cycle done = 0;
+  d.sim.spawn(readLine(d, 0, done), "r");  // parks on the pending line
+  d.sim.schedule(2, [&] { d.cache.invalidateRange(d.row, 0, 64); });
+  d.sim.run();
+  // The prefetch lands dropped at 6; the access then misses and fills.
+  EXPECT_EQ(done, 12u);
+  EXPECT_EQ(d.row.cache_misses, 1u);
+  EXPECT_EQ(d.row.cache_hits, 0u);
+  EXPECT_EQ(d.sram.readBus().stats().transactions, 2u);
+}
+
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eclipse/sim/config.hpp"
@@ -210,6 +211,72 @@ TEST(Semaphore, GrantsInArrivalOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(sem.available(), 1u);
+}
+
+Task<void> logWake(Simulator& sim, SimEvent& ev, std::vector<std::pair<int, Cycle>>& log, int id) {
+  co_await ev.wait();
+  log.emplace_back(id, sim.now());
+  if (id == 0) {
+    // Parks again during the wake-ups: a later notify must wake it, not
+    // the one that is being delivered.
+    co_await ev.wait();
+    log.emplace_back(10, sim.now());
+  }
+}
+
+TEST(SimEvent, NotifyAllWakesInParkingOrder) {
+  Simulator sim;
+  SimEvent ev(sim);
+  std::vector<std::pair<int, Cycle>> log;
+  for (int id : {2, 0, 1}) sim.spawn(logWake(sim, ev, log, id), "w");
+  sim.schedule(3, [&] { ev.notifyAll(); });
+  sim.schedule(5, [&] { ev.notifyAll(); });
+  sim.run();
+  const std::vector<std::pair<int, Cycle>> want{{2, 3}, {0, 3}, {1, 3}, {10, 5}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(ev.waiterCount(), 0u);
+}
+
+// A callback requester of a Semaphore: holds the unit for `hold` cycles.
+struct CallbackHolder : WaitNode {
+  Simulator* sim = nullptr;
+  Semaphore* sem = nullptr;
+  std::vector<int>* order = nullptr;
+  int id = 0;
+  Cycle hold = 0;
+};
+
+void holdThenRelease(WaitNode& n) {
+  auto& h = static_cast<CallbackHolder&>(n);
+  h.order->push_back(h.id);
+  h.sim->schedule(h.hold, [hp = &h] { hp->sem->release(); });
+}
+
+TEST(Semaphore, GrantsInArrivalOrderToAwaitersAndCallbacks) {
+  Simulator sim;
+  Semaphore sem(sim, 1);
+  std::vector<int> order;
+  CallbackHolder c1;
+  c1.callback = &holdThenRelease;
+  c1.sim = &sim;
+  c1.sem = &sem;
+  c1.order = &order;
+  c1.id = 1;
+  c1.hold = 10;
+  CallbackHolder c3 = c1;
+  c3.id = 3;
+  sim.spawn(semUser(sim, sem, order, 0, 10), "u0");
+  sim.schedule(0, [&] {
+    if (sem.tryAcquire(c1)) holdThenRelease(c1);
+  });
+  sim.spawn(semUser(sim, sem, order, 2, 10), "u2");
+  sim.schedule(0, [&] {
+    if (sem.tryAcquire(c3)) holdThenRelease(c3);
+  });
+  EXPECT_EQ(sim.run(), 40u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sem.available(), 1u);
+  EXPECT_EQ(sem.waiterCount(), 0u);
 }
 
 TEST(Semaphore, CountedAllowsParallelHolders) {
