@@ -89,8 +89,14 @@ class VldCoproc final : public Coprocessor {
     bool skipping = false;        ///< discarding coded data until an I-frame
   };
 
+  /// True when the reader has run past the task's fetch high-water.
+  [[nodiscard]] static bool fetchBehind(const TaskState& st) {
+    return st.fetched_bytes < (st.reader->bitPosition() + 7) / 8;
+  }
+
   /// Issues timed off-chip fetches until the task's fetch high-water covers
-  /// the current bit position.
+  /// the current bit position. Callers guard it with fetchBehind(), so a
+  /// step that needs no fetch makes no coroutine frame.
   sim::Task<void> ensureFetched(TaskState& st);
 
   mem::OffChipMemory& dram_;

@@ -31,8 +31,6 @@ PlaneGeom planeGeom(const media::SeqHeader& sh, int plane) {
   return PlaneGeom{luma + chroma, w / 2, w / 2, h / 2};
 }
 
-int clampi(int v, int lo, int hi) { return v < lo ? lo : (v > hi ? hi : v); }
-
 }  // namespace
 
 void McCoproc::configureTask(sim::TaskId task, const McTaskConfig& cfg) {
@@ -56,22 +54,10 @@ sim::Task<void> McCoproc::fetchRegion(TaskState& st, std::int32_t slot, int plan
   // Timing: one 2D burst over the system bus of the region size.
   co_await dram_.touchRead(out.size(), static_cast<int>(shell_.id()));
 
-  // Function: clamped gather (replicated frame edges, exactly like
-  // motion::sampleHalfPel's full-pel clamping). Rows that need no
-  // horizontal clamp are one copy.
-  const auto view = dram_.storage().view();
-  const bool inside_x = x0 >= 0 && x0 + w <= g.width;
-  for (int y = 0; y < h; ++y) {
-    const int sy = clampi(y0 + y, 0, g.height - 1);
-    const std::uint8_t* src =
-        view.data() + base + static_cast<sim::Addr>(sy) * static_cast<sim::Addr>(g.stride);
-    std::uint8_t* dst = out.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-    if (inside_x) {
-      std::copy_n(src + x0, w, dst);
-      continue;
-    }
-    for (int x = 0; x < w; ++x) dst[x] = src[clampi(x0 + x, 0, g.width - 1)];
-  }
+  // Function: clamped gather (replicated frame edges), the same gather as
+  // the functional encoder's motion search.
+  media::motion::gatherClamped(dram_.storage().view().data() + base, g.stride, g.width, g.height,
+                               x0, y0, w, h, out.data());
 }
 
 sim::Task<void> McCoproc::writeReconMb(TaskState& st, std::int32_t slot, int mb_x, int mb_y,
@@ -184,91 +170,45 @@ sim::Task<void> McCoproc::decideMode(TaskState& st, const media::MbPixels& cur,
   ++searches_;
 
   const int R = params_.search_range;
-  const int S = 2 * R + 19;  // window edge: covers full search + half-pel refine
+  const int S = media::motion::windowSize(R);
   const int px = h.mb_x * media::kMbSize;
   const int py = h.mb_y * media::kMbSize;
   const int wx0 = px - (R + 1);
   const int wy0 = py - (R + 1);
+  const media::motion::SearchParams search{R, params_.half_pel,
+                                           media::motion::SearchParams::Algo::FullSearch};
 
-  // Half-pel candidate offset into a fetched window: every candidate the
-  // search emits has mv + 2(R+1) >= 1, so >>1 is a plain floor and the
-  // 16x16(+fraction) read stays inside the S x S window.
-  auto winAt = [&](const std::vector<std::uint8_t>& win, int mvx, int mvy) {
-    const int cx = mvx + 2 * (R + 1);
-    const int cy = mvy + 2 * (R + 1);
-    return win.data() + static_cast<std::ptrdiff_t>(cy >> 1) * S + (cx >> 1);
-  };
-
-  // SAD of a half-pel candidate against a fetched window.
-  auto sadHalf = [&](const std::vector<std::uint8_t>& win, int mvx, int mvy) {
-    return media::kernels::active().sad_16xh(cur.y.data(), media::kMbSize, winAt(win, mvx, mvy),
-                                             S, media::kMbSize, (mvx + 2 * (R + 1)) & 1,
-                                             (mvy + 2 * (R + 1)) & 1);
-  };
-
-  // Full-pel exhaustive search plus half-pel refinement in one window.
-  struct Best {
-    media::MotionVector mv;
-    std::uint32_t sad = std::numeric_limits<std::uint32_t>::max();
-  };
-  int candidates = 0;
-  auto searchWindow = [&](const std::vector<std::uint8_t>& win) {
-    // The zero vector is evaluated first so that it wins SAD ties — the
-    // same preference order as motion::search (keeps the window search
-    // bit-identical with the functional encoder's full search).
-    Best best{media::MotionVector{0, 0}, sadHalf(win, 0, 0)};
-    ++candidates;
-    for (int dy = -R; dy <= R; ++dy) {
-      for (int dx = -R; dx <= R; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const std::uint32_t sad = sadHalf(win, 2 * dx, 2 * dy);
-        ++candidates;
-        if (sad < best.sad) {
-          best = Best{media::MotionVector{static_cast<std::int16_t>(2 * dx),
-                                          static_cast<std::int16_t>(2 * dy)},
-                      sad};
-        }
-      }
-    }
-    if (params_.half_pel) {
-      Best refined = best;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const int mvx = best.mv.x + dx;
-          const int mvy = best.mv.y + dy;
-          const std::uint32_t sad = sadHalf(win, mvx, mvy);
-          ++candidates;
-          if (sad < refined.sad) {
-            refined = Best{media::MotionVector{static_cast<std::int16_t>(mvx),
-                                               static_cast<std::int16_t>(mvy)},
-                           sad};
-          }
-        }
-      }
-      best = refined;
-    }
-    return best;
+  // Interpolates a window's 16x16 prediction at vector `mv`, with the
+  // window offset arithmetic of motion::searchWindow.
+  auto predictFrom = [&](const std::vector<std::uint8_t>& win, media::MotionVector mv,
+                         std::uint8_t* dst) {
+    const int cx = mv.x + 2 * (R + 1);
+    const int cy = mv.y + 2 * (R + 1);
+    media::kernels::active().interp_16xh(
+        dst, media::kMbSize, win.data() + static_cast<std::ptrdiff_t>(cy >> 1) * S + (cx >> 1), S,
+        media::kMbSize, cx & 1, cy & 1);
   };
 
   const std::int32_t fwd_slot =
       st.pic.type == media::FrameType::B ? st.refs.prev : st.refs.last;
   co_await fetchRegion(st, fwd_slot, 0, wx0, wy0, S, S, win_f_);
-  const Best best_f = searchWindow(win_f_);
+  const media::motion::SearchResult best_f =
+      media::motion::searchWindow(cur.y.data(), media::kMbSize, win_f_.data(), search);
+  int candidates = best_f.candidates;
 
-  Best best_b;
+  media::motion::SearchResult best_b{media::MotionVector{0, 0},
+                                     std::numeric_limits<std::uint32_t>::max()};
   std::uint32_t sad_bidi = std::numeric_limits<std::uint32_t>::max();
   if (st.pic.type == media::FrameType::B) {
     co_await fetchRegion(st, st.refs.last, 0, wx0, wy0, S, S, win_b_);
-    best_b = searchWindow(win_b_);
+    best_b = media::motion::searchWindow(cur.y.data(), media::kMbSize, win_b_.data(), search);
+    candidates += best_b.candidates;
     // Bidirectional: average of the two best predictions. Interpolate both
     // into scratch macroblocks, average, then a full-pel SAD.
     const auto& k = media::kernels::active();
     alignas(16) std::uint8_t pf[256], pb[256], avg[256];
-    k.interp_16xh(pf, media::kMbSize, winAt(win_f_, best_f.mv.x, best_f.mv.y), S, media::kMbSize,
-                  (best_f.mv.x + 2 * (R + 1)) & 1, (best_f.mv.y + 2 * (R + 1)) & 1);
-    k.interp_16xh(pb, media::kMbSize, winAt(win_b_, best_b.mv.x, best_b.mv.y), S, media::kMbSize,
-                  (best_b.mv.x + 2 * (R + 1)) & 1, (best_b.mv.y + 2 * (R + 1)) & 1);
+    predictFrom(win_f_, best_f.mv, pf);
+    predictFrom(win_b_, best_b.mv, pb);
     k.avg_u8(pf, pb, avg, 256);
     sad_bidi = k.sad_16xh(cur.y.data(), media::kMbSize, avg, media::kMbSize, media::kMbSize, 0, 0);
     ++candidates;

@@ -7,28 +7,22 @@ namespace eclipse::coproc::packet_io {
 
 namespace {
 
-std::uint32_t decodeLen(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-/// Reads the 4-byte length word at the access point. The header may wrap
-/// the cyclic buffer, so it is always gathered into a local array.
-sim::Task<std::uint32_t> readLen(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
-  shell::WindowView v = co_await sh.acquireRead(task, port, 0, kFrameHeaderBytes);
+/// Length word of a packet from the view of its 4-byte header. The header
+/// may wrap the cyclic buffer, so it is always gathered into a local array.
+std::uint32_t frameLen(const shell::WindowView& header) {
   std::uint8_t hdr[kFrameHeaderBytes];
-  v.copyTo(hdr);
-  const std::uint32_t len = decodeLen(hdr);
+  header.copyTo(hdr);
+  std::uint32_t len = 0;
+  std::memcpy(&len, hdr, sizeof len);
   if (len == 0) throw std::runtime_error("packet_io: zero-length packet frame");
-  co_return len;
+  return len;
 }
 
 }  // namespace
 
 sim::Task<Packet> tryReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes)) co_return Packet{};
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = frameLen(co_await sh.acquireRead(task, port, 0, kFrameHeaderBytes));
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes + len)) {
     co_return Packet{};  // abort; the length word stays uncommitted
   }
@@ -46,7 +40,7 @@ sim::Task<Packet> tryReadView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 
 sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes)) co_return Packet{};
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = frameLen(co_await sh.acquireRead(task, port, 0, kFrameHeaderBytes));
   if (!co_await sh.getSpace(task, port, kFrameHeaderBytes + len)) co_return Packet{};
   Packet p;
   p.view = co_await sh.acquireRead(task, port, kFrameHeaderBytes, len);
@@ -58,7 +52,7 @@ sim::Task<Packet> tryPeekView(shell::Shell& sh, sim::TaskId task, sim::PortId po
 
 sim::Task<Packet> blockingReadView(shell::Shell& sh, sim::TaskId task, sim::PortId port) {
   co_await sh.waitSpace(task, port, kFrameHeaderBytes);
-  const std::uint32_t len = co_await readLen(sh, task, port);
+  const std::uint32_t len = frameLen(co_await sh.acquireRead(task, port, 0, kFrameHeaderBytes));
   co_await sh.waitSpace(task, port, kFrameHeaderBytes + len);
   Packet p;
   p.view = co_await sh.acquireRead(task, port, kFrameHeaderBytes, len);

@@ -21,8 +21,7 @@ void VldCoproc::configureTask(sim::TaskId task, const VldTaskConfig& cfg) {
 }
 
 sim::Task<void> VldCoproc::ensureFetched(TaskState& st) {
-  const std::uint64_t needed_bytes = (st.reader->bitPosition() + 7) / 8;
-  while (st.fetched_bytes < needed_bytes) {
+  while (fetchBehind(st)) {
     const std::uint32_t chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         params_.fetch_chunk, st.cfg.bitstream_bytes - st.fetched_bytes));
     // Timing-only burst: the bytes are already visible via the reader span.
@@ -85,7 +84,7 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
     case Phase::SeqHeader: {
       st.seq = media::stages::parseSeqHeader(*st.reader);
       st.mb_count = (st.seq.width / media::kMbSize) * (st.seq.height / media::kMbSize);
-      co_await ensureFetched(st);
+      if (fetchBehind(st)) co_await ensureFetched(st);
       co_await sim_.delay(8 * params_.cycles_per_symbol);
       symbols_ += 8;
       const auto pkt = media::packPacketInto(writer_, media::PacketTag::Seq, st.seq);
@@ -96,7 +95,7 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
     }
     case Phase::PicHeader: {
       st.pic = media::stages::parsePicHeader(*st.reader);
-      co_await ensureFetched(st);
+      if (fetchBehind(st)) co_await ensureFetched(st);
       co_await sim_.delay(3 * params_.cycles_per_symbol);
       symbols_ += 3;
       if (st.skipping) {
@@ -124,7 +123,7 @@ sim::Task<void> VldCoproc::step(sim::TaskId task, std::uint32_t /*task_info*/) {
       const auto mb_y = static_cast<std::uint16_t>(st.mb_index / mb_w);
       media::stages::ParsedMb& parsed = parsed_;
       media::stages::parseMb(*st.reader, st.pic.type, mb_x, mb_y, st.pic.qscale, parsed);
-      co_await ensureFetched(st);
+      if (fetchBehind(st)) co_await ensureFetched(st);
       co_await sim_.delay(static_cast<sim::Cycle>(parsed.symbols) * params_.cycles_per_symbol);
       symbols_ += static_cast<std::uint64_t>(parsed.symbols);
       if (!st.skipping) {

@@ -47,9 +47,32 @@ void average(const ChromaMb& a, const ChromaMb& b, ChromaMb& out);
 struct SearchResult {
   MotionVector mv;
   std::uint32_t sad = 0;
+  int candidates = 0;  ///< SAD evaluations the search made
 };
 
-/// Finds the best-matching vector for the macroblock at (mb_x, mb_y).
+/// Edge of the square reference window a ±range search reads: the full-pel
+/// candidates, the half-pel refinement around them and the interpolator's
+/// extra row and column.
+[[nodiscard]] constexpr int windowSize(int range) { return 2 * range + 19; }
+
+/// Copies the w x h region whose top-left is (x0, y0) out of a plane of
+/// width x height samples (row pitch `stride`) into `out` (row pitch w).
+/// Samples outside the plane replicate its edges, which is exactly the
+/// full-pel clamping of sampleHalfPel; rows that need no horizontal clamp
+/// are one copy.
+void gatherClamped(const std::uint8_t* plane, int stride, int width, int height, int x0, int y0,
+                   int w, int h, std::uint8_t* out);
+
+/// Searches one macroblock (16x16 samples at `cur`, row pitch `cur_stride`)
+/// over a windowSize(params.range)-square window gathered with its top-left
+/// at range+1 samples above and left of the macroblock. Every candidate is
+/// one SAD on the active kernel backend; the zero vector goes first, so it
+/// wins ties.
+[[nodiscard]] SearchResult searchWindow(const std::uint8_t* cur, int cur_stride,
+                                        const std::uint8_t* window, const SearchParams& params);
+
+/// Finds the best-matching vector for the macroblock at (mb_x, mb_y): one
+/// clamped window gather, then searchWindow.
 [[nodiscard]] SearchResult search(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
                                   const SearchParams& params);
 

@@ -134,66 +134,94 @@ std::uint32_t sadLuma(const Frame& cur, const Frame& ref, int mb_x, int mb_y, Mo
   return sad;
 }
 
-namespace {
+void gatherClamped(const std::uint8_t* plane, int stride, int width, int height, int x0, int y0,
+                   int w, int h, std::uint8_t* out) {
+  const bool inside_x = x0 >= 0 && x0 + w <= width;
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* src =
+        plane + static_cast<std::ptrdiff_t>(clampi(y0 + y, 0, height - 1)) * stride;
+    std::uint8_t* dst = out + static_cast<std::ptrdiff_t>(y) * w;
+    if (inside_x) {
+      std::copy_n(src + x0, w, dst);
+      continue;
+    }
+    for (int x = 0; x < w; ++x) dst[x] = src[clampi(x0 + x, 0, width - 1)];
+  }
+}
 
-SearchResult refineHalfPel(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
-                           SearchResult best) {
-  // All eight half-pel candidates are anchored on the full-pel winner;
-  // `best` must not drift mid-iteration or the candidate set changes.
-  const MotionVector center = best.mv;
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      const MotionVector mv{static_cast<std::int16_t>(center.x + dx),
-                            static_cast<std::int16_t>(center.y + dy)};
-      const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-      if (sad < best.sad) best = SearchResult{mv, sad};
+SearchResult searchWindow(const std::uint8_t* cur, int cur_stride, const std::uint8_t* window,
+                          const SearchParams& params) {
+  const auto sad16 = kernels::active().sad_16xh;
+  const int r = params.range;
+  const int s = windowSize(r);
+  SearchResult best{};
+  // Every candidate has |mv| <= 2r+1 half-pels, so the window offset
+  // mv + 2(r+1) is >= 1: >>1 is a plain floor and the 16x16 read plus
+  // its interpolation column and row stays inside the window.
+  auto eval = [&](int mvx, int mvy) {
+    const int cx = mvx + 2 * (r + 1);
+    const int cy = mvy + 2 * (r + 1);
+    ++best.candidates;
+    return sad16(cur, cur_stride, window + static_cast<std::ptrdiff_t>(cy >> 1) * s + (cx >> 1), s,
+                 kMbSize, cx & 1, cy & 1);
+  };
+  auto offer = [&](SearchResult& into, int mvx, int mvy) {
+    const std::uint32_t sad = eval(mvx, mvy);
+    if (sad < into.sad) {
+      into.mv = MotionVector{static_cast<std::int16_t>(mvx), static_cast<std::int16_t>(mvy)};
+      into.sad = sad;
+    }
+  };
+
+  best.sad = eval(0, 0);
+  if (params.algo == SearchParams::Algo::FullSearch) {
+    for (int dy = -r; dy <= r; ++dy) {
+      for (int dx = -r; dx <= r; ++dx) {
+        if (dx != 0 || dy != 0) offer(best, 2 * dx, 2 * dy);
+      }
+    }
+  } else {
+    // Three-step (logarithmic) search at full-pel resolution: each round
+    // tries the eight neighbours at `step` around the previous winner.
+    int step = 1;
+    while (2 * step < r) step *= 2;
+    for (; step >= 1; step /= 2) {
+      const MotionVector center = best.mv;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const int mvx = center.x + 2 * dx * step;
+          const int mvy = center.y + 2 * dy * step;
+          if (std::abs(mvx) > 2 * r || std::abs(mvy) > 2 * r) continue;
+          offer(best, mvx, mvy);
+        }
+      }
+    }
+  }
+
+  if (params.half_pel) {
+    // All eight half-pel candidates are anchored on the full-pel winner.
+    const MotionVector center = best.mv;
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx != 0 || dy != 0) offer(best, center.x + dx, center.y + dy);
+      }
     }
   }
   return best;
 }
 
-}  // namespace
-
 SearchResult search(const Frame& cur, const Frame& ref, int mb_x, int mb_y,
                     const SearchParams& params) {
-  SearchResult best{MotionVector{0, 0}, sadLuma(cur, ref, mb_x, mb_y, MotionVector{0, 0})};
-
-  if (params.algo == SearchParams::Algo::FullSearch) {
-    for (int dy = -params.range; dy <= params.range; ++dy) {
-      for (int dx = -params.range; dx <= params.range; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const MotionVector mv{static_cast<std::int16_t>(2 * dx),
-                              static_cast<std::int16_t>(2 * dy)};
-        const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-        if (sad < best.sad) best = SearchResult{mv, sad};
-      }
-    }
-  } else {
-    // Three-step (logarithmic) search at full-pel resolution.
-    int step = 1;
-    while (2 * step < params.range) step *= 2;
-    MotionVector center{0, 0};
-    while (step >= 1) {
-      SearchResult round_best = best;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const MotionVector mv{static_cast<std::int16_t>(center.x + 2 * dx * step),
-                                static_cast<std::int16_t>(center.y + 2 * dy * step)};
-          if (std::abs(mv.x) > 2 * params.range || std::abs(mv.y) > 2 * params.range) continue;
-          const std::uint32_t sad = sadLuma(cur, ref, mb_x, mb_y, mv);
-          if (sad < round_best.sad) round_best = SearchResult{mv, sad};
-        }
-      }
-      best = round_best;
-      center = best.mv;
-      step /= 2;
-    }
-  }
-
-  if (params.half_pel) best = refineHalfPel(cur, ref, mb_x, mb_y, best);
-  return best;
+  const int px = mb_x * kMbSize;
+  const int py = mb_y * kMbSize;
+  const int s = windowSize(params.range);
+  thread_local std::vector<std::uint8_t> window;
+  window.resize(static_cast<std::size_t>(s) * static_cast<std::size_t>(s));
+  gatherClamped(ref.yPlane().data(), ref.width(), ref.width(), ref.height(),
+                px - (params.range + 1), py - (params.range + 1), s, s, window.data());
+  return searchWindow(cur.yPlane().data() + static_cast<std::ptrdiff_t>(py) * cur.width() + px,
+                      cur.width(), window.data(), params);
 }
 
 std::uint32_t intraActivity(const Frame& cur, int mb_x, int mb_y) {

@@ -55,25 +55,34 @@ Frame generateFrame(const VideoGenParams& p, int index) {
   const auto& k = kernels::active();
 
   // Background: diagonal gradient plus sinusoidal texture, translating with
-  // time so P-frames see global motion. The floating-point math is kept
-  // per-pixel (bit-exactness across backends); only the clamp-and-narrow
-  // store is batched per row through the kernel table.
+  // time so P-frames see global motion. The gradient and texture factor
+  // into a column term and a row term, each computed once; the per-pixel
+  // combination keeps the original double operations in their original
+  // order, so every sample is bit-identical across backends. Only the
+  // clamp-and-narrow store is batched per row through the kernel table.
   sim::Prng noise_rng(p.seed * 31 + static_cast<std::uint64_t>(index) * 1000003 + 7);
   const int bg_shift = t * std::max(1, p.motion_speed / 2);
+  std::vector<double> col_base(static_cast<std::size_t>(p.width));
+  std::vector<double> col_sin(static_cast<std::size_t>(p.width));
+  for (int x = 0; x < p.width; ++x) {
+    const int gx = x + bg_shift + scene * 37;
+    col_base[static_cast<std::size_t>(x)] = 96.0 + (gx * 48.0) / p.width;
+    if (p.detail > 0) col_sin[static_cast<std::size_t>(x)] = 24.0 * std::sin(gx * 0.18 * p.detail);
+  }
   auto& yp = f.yPlane();
   std::vector<std::int32_t> row(static_cast<std::size_t>(p.width));
   for (int y = 0; y < p.height; ++y) {
     const int gy = y + scene * 23;
+    const double row_base = (gy * 32.0) / p.height;
+    const double row_cos = p.detail > 0 ? std::cos(gy * 0.13 * p.detail) : 0.0;
     for (int x = 0; x < p.width; ++x) {
-      const int gx = x + bg_shift + scene * 37;
-      double v = 96.0 + (gx * 48.0) / p.width + (gy * 32.0) / p.height;
-      if (p.detail > 0) {
-        v += 24.0 * std::sin(gx * 0.18 * p.detail) * std::cos(gy * 0.13 * p.detail);
-      }
+      const auto i = static_cast<std::size_t>(x);
+      double v = col_base[i] + row_base;
+      if (p.detail > 0) v += col_sin[i] * row_cos;
       if (p.noise_level > 0) {
         v += (noise_rng.uniform() - 0.5) * 2.0 * p.noise_level;
       }
-      row[static_cast<std::size_t>(x)] = static_cast<std::int32_t>(std::lround(v));
+      row[i] = static_cast<std::int32_t>(std::lround(v));
     }
     k.clamp_store_row(row.data(),
                       yp.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(p.width),

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,10 +39,41 @@ namespace eclipse::shell {
 ///    sampling process, all CPU-readable over the PI-bus (Section 5.4).
 ///
 /// All primitives are called by the coprocessor (the coprocessor has the
-/// initiative); they are coroutines whose completion time models the
-/// master-slave handshake and any memory traffic incurred.
+/// initiative); they are awaitables whose completion time models the
+/// master-slave handshake and any memory traffic incurred. GetTask and
+/// GetSpace are awaiters that live in the caller's frame; the others are
+/// coroutines.
 class Shell {
  public:
+  /// Awaiter of GetTask. It is its own wait-queue node: after the
+  /// handshake delay a callback charges the finished step and picks a
+  /// task; when none is runnable the node parks on the scheduler event and
+  /// picks again on each wake-up. The caller resumes from the event that
+  /// picks.
+  struct GetTaskAwaiter : sim::WaitNode {
+    Shell* shell;
+    std::coroutine_handle<> caller;
+    GetTaskResult result;
+    explicit GetTaskAwaiter(Shell& s) : shell(&s) {}
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h);
+    GetTaskResult await_resume() const noexcept { return result; }
+  };
+
+  /// Awaiter of GetSpace: the handshake delay is its resume event and the
+  /// inquiry itself runs in await_resume.
+  struct GetSpaceAwaiter {
+    Shell* shell;
+    sim::TaskId task;
+    sim::PortId port;
+    std::uint32_t n_bytes;
+    bool await_ready() const noexcept { return shell->params_.sync_latency == 0; }
+    void await_suspend(std::coroutine_handle<> h) const {
+      shell->sim_.scheduleResume(shell->params_.sync_latency, h);
+    }
+    bool await_resume() const { return shell->inquireSpace(task, port, n_bytes); }
+  };
+
   Shell(sim::Simulator& sim, const ShellParams& params, mem::SharedSram& sram,
         mem::MessageNetwork& network);
 
@@ -54,11 +86,14 @@ class Shell {
 
   /// GetTask: returns the next task to execute and its parameter word.
   /// Suspends (coprocessor idles) while no configured task is runnable.
-  sim::Task<GetTaskResult> getTask();
+  [[nodiscard]] GetTaskAwaiter getTask() { return GetTaskAwaiter{*this}; }
 
   /// GetSpace: inquires whether `n_bytes` of data (input port) or room
   /// (output port) are available ahead of the access point. Purely local.
-  sim::Task<bool> getSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+  [[nodiscard]] GetSpaceAwaiter getSpace(sim::TaskId task, sim::PortId port,
+                                         std::uint32_t n_bytes) {
+    return GetSpaceAwaiter{this, task, port, n_bytes};
+  }
 
   /// PutSpace: commits `n_bytes` — advances the access point, flushes any
   /// dirty cache lines in the committed window, then signals the remote
@@ -206,6 +241,19 @@ class Shell {
                                 std::size_t n, bool writing);
 
   void onSyncMessage(const mem::SyncMessage& msg);
+
+  /// The body of GetSpace, after its handshake delay.
+  bool inquireSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes);
+
+  /// Charges the elapsed processing step to the task that just yielded.
+  void chargeStep();
+
+  /// Picks the next task into `a.result` and returns true, or parks `a` on
+  /// the scheduler event (the coprocessor idles) and returns false.
+  bool pickOrPark(GetTaskAwaiter& a);
+
+  /// Scheduler-event wake-up of a parked GetTask.
+  static void onSchedWake(sim::WaitNode& n);
 
   /// True when the task cannot run because a previously denied GetSpace is
   /// still unsatisfied; self-clears once space arrives (best guess).

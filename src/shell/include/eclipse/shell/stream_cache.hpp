@@ -42,6 +42,8 @@ namespace eclipse::shell {
 /// prefetch latency hiding shows up in the timing.
 class StreamCache {
  public:
+  /// `line_bytes` must be a power of two (line addressing is a mask);
+  /// anything else throws std::invalid_argument.
   StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32_t line_bytes,
               std::uint32_t n_lines, int client_id);
 
@@ -65,6 +67,10 @@ class StreamCache {
   /// burst per line (timing-only; SRAM is current) and clears dirty bits.
   sim::Task<void> flushRange(StreamRow& row, sim::Addr addr, std::uint64_t len);
 
+  /// True when a dirty line overlaps [addr, addr+len), i.e. when
+  /// flushRange() has a burst to charge.
+  [[nodiscard]] bool dirtyIn(sim::Addr addr, std::uint64_t len) const;
+
   /// Drops (clean) lines overlapping [addr, addr+len). Dirty lines in the
   /// range indicate a protocol violation and throw.
   void invalidateRange(StreamRow& row, sim::Addr addr, std::uint64_t len);
@@ -74,6 +80,8 @@ class StreamCache {
   void startPrefetch(StreamRow& row, sim::Addr line_addr);
 
   [[nodiscard]] std::uint32_t lineBytes() const { return line_bytes_; }
+  /// Start of the line holding `a`.
+  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a & ~line_mask_; }
   [[nodiscard]] std::uint32_t lineCount() const { return static_cast<std::uint32_t>(lines_.size()); }
 
  private:
@@ -96,8 +104,6 @@ class StreamCache {
     Fill fill;  // in use while a prefetch of this line is in flight
   };
 
-  [[nodiscard]] sim::Addr alignDown(sim::Addr a) const { return a / line_bytes_ * line_bytes_; }
-
   /// Finds the line holding `line_addr` in any non-Invalid state.
   Line* find(sim::Addr line_addr);
 
@@ -111,6 +117,7 @@ class StreamCache {
   sim::Simulator& sim_;
   mem::SharedSram& sram_;
   std::uint32_t line_bytes_;
+  sim::Addr line_mask_;  // line_bytes_ - 1
   int client_;
   sim::SimEvent event_;
   std::vector<Line> lines_;  // never resized: fills point into it

@@ -82,77 +82,93 @@ bool Shell::blockedNow(TaskRow& t) {
   return params_.best_guess;
 }
 
-sim::Task<GetTaskResult> Shell::getTask() {
-  co_await sim_.delay(params_.gettask_latency);
+bool Shell::GetTaskAwaiter::await_suspend(std::coroutine_handle<> h) {
+  caller = h;
+  if (shell->params_.gettask_latency == 0) {
+    shell->chargeStep();
+    return !shell->pickOrPark(*this);
+  }
+  shell->sim_.schedule(shell->params_.gettask_latency, [a = this] {
+    a->shell->chargeStep();
+    if (a->shell->pickOrPark(*a)) a->caller.resume();
+  });
+  return true;
+}
 
-  // Charge the elapsed processing step to the task that just yielded. A
-  // row torn down mid-step (valid cleared over MMIO) takes no charge: the
-  // slot may already belong to a later application.
+void Shell::chargeStep() {
+  // A row torn down mid-step (valid cleared over MMIO) takes no charge:
+  // the slot may already belong to a later application.
+  if (current_task_ == sim::kNoTask) return;
+  TaskRow& t = tasks_.row(current_task_);
+  if (!t.valid) return;
+  const sim::Cycle elapsed = sim_.now() - last_gettask_return_;
+  t.busy_cycles += elapsed;
+  t.budget_left -= std::min(t.budget_left, elapsed);
+  ++t.gettask_count;
+  t.step_cycles.add(static_cast<double>(elapsed));
+}
+
+bool Shell::pickOrPark(GetTaskAwaiter& a) {
+  sim::TaskId chosen = sim::kNoTask;
+
+  // Budget rule: the running task keeps the coprocessor while its budget
+  // lasts and it is not blocked.
   if (current_task_ != sim::kNoTask) {
-    TaskRow& t = tasks_.row(current_task_);
-    if (t.valid) {
-      const sim::Cycle elapsed = sim_.now() - last_gettask_return_;
-      t.busy_cycles += elapsed;
-      t.budget_left -= std::min(t.budget_left, elapsed);
-      ++t.gettask_count;
-      t.step_cycles.add(static_cast<double>(elapsed));
+    TaskRow& cur = tasks_.row(current_task_);
+    if (cur.valid && cur.enabled && cur.budget_left > 0 && !blockedNow(cur)) {
+      chosen = current_task_;
     }
   }
 
-  while (true) {
-    sim::TaskId chosen = sim::kNoTask;
-
-    // Budget rule: the running task keeps the coprocessor while its budget
-    // lasts and it is not blocked.
-    if (current_task_ != sim::kNoTask) {
-      TaskRow& cur = tasks_.row(current_task_);
-      if (cur.valid && cur.enabled && cur.budget_left > 0 && !blockedNow(cur)) {
-        chosen = current_task_;
+  if (chosen == sim::kNoTask) {
+    // Weighted round-robin over the task table.
+    for (std::uint32_t i = 0; i < tasks_.capacity(); ++i) {
+      const std::uint32_t idx = (rr_index_ + i) % tasks_.capacity();
+      TaskRow& t = tasks_.row(static_cast<sim::TaskId>(idx));
+      if (t.valid && t.enabled && !blockedNow(t)) {
+        chosen = static_cast<sim::TaskId>(idx);
+        rr_index_ = (idx + 1) % tasks_.capacity();
+        t.budget_left = t.budget_cycles;
+        break;
       }
     }
+  }
 
-    if (chosen == sim::kNoTask) {
-      // Weighted round-robin over the task table.
-      for (std::uint32_t i = 0; i < tasks_.capacity(); ++i) {
-        const std::uint32_t idx = (rr_index_ + i) % tasks_.capacity();
-        TaskRow& t = tasks_.row(static_cast<sim::TaskId>(idx));
-        if (t.valid && t.enabled && !blockedNow(t)) {
-          chosen = static_cast<sim::TaskId>(idx);
-          rr_index_ = (idx + 1) % tasks_.capacity();
-          t.budget_left = t.budget_cycles;
-          break;
-        }
-      }
-    }
-
-    if (chosen != sim::kNoTask) {
-      TaskRow& t = tasks_.row(chosen);
-      ++t.schedule_count;
-      if (chosen != current_task_) {
-        ++t.switch_count;
-        ++task_switches_;
-      }
-      t.last_selected_at = sim_.now();
-      current_task_ = chosen;
-      last_gettask_return_ = sim_.now();
-      co_return GetTaskResult{chosen, t.task_info};
-    }
-
+  if (chosen == sim::kNoTask) {
     // Nothing runnable: the coprocessor idles until synchronization
     // messages (or reconfiguration) make a task ready.
     idle_since_ = sim_.now();
-    co_await sched_event_.wait();
-    idle_cycles_ += sim_.now() - *idle_since_;
-    idle_since_.reset();
+    a.callback = &Shell::onSchedWake;
+    sched_event_.park(a);
+    return false;
   }
+
+  TaskRow& t = tasks_.row(chosen);
+  ++t.schedule_count;
+  if (chosen != current_task_) {
+    ++t.switch_count;
+    ++task_switches_;
+  }
+  t.last_selected_at = sim_.now();
+  current_task_ = chosen;
+  last_gettask_return_ = sim_.now();
+  a.result = GetTaskResult{chosen, t.task_info};
+  return true;
+}
+
+void Shell::onSchedWake(sim::WaitNode& n) {
+  auto& a = static_cast<GetTaskAwaiter&>(n);
+  Shell& sh = *a.shell;
+  sh.idle_cycles_ += sh.sim_.now() - *sh.idle_since_;
+  sh.idle_since_.reset();
+  if (sh.pickOrPark(a)) a.caller.resume();
 }
 
 // ---------------------------------------------------------------------
 // Synchronization (Section 5.1)
 // ---------------------------------------------------------------------
 
-sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
-  co_await sim_.delay(params_.sync_latency);
+bool Shell::inquireSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
   const std::uint32_t idx = streams_.lookup(task, port);
   StreamRow& row = streams_.row(idx);
   ++row.getspace_calls;
@@ -164,21 +180,19 @@ sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_
     if (n_bytes > row.granted) {
       // Window extension: data in the cache overlapping the newly granted
       // region may be stale (observation 2) — invalidate it.
+      StreamCache& cache = *ports_[idx].cache;
       const std::uint64_t from = row.pos + row.granted;
       const std::uint64_t len = n_bytes - row.granted;
       forEachSegment(row, from, len, [&](sim::Addr addr, std::uint64_t seg, std::uint64_t) {
-        ports_[idx].cache->invalidateRange(row, addr, seg);
+        cache.invalidateRange(row, addr, seg);
       });
       row.granted = n_bytes;
       // Prefetch the first line of the fresh window for input ports.
       if (params_.prefetch && !row.is_producer) {
-        const std::uint64_t first_pos = from;
-        const sim::Addr addr = row.base + first_pos % row.size;
-        const sim::Addr line = addr / params_.cache_line_bytes * params_.cache_line_bytes;
-        ports_[idx].cache->startPrefetch(row, line);
+        cache.startPrefetch(row, cache.alignDown(row.base + from % row.size));
       }
     }
-    co_return true;
+    return true;
   }
   ++row.getspace_denied;
   TaskRow& t = tasks_.row(task);
@@ -186,7 +200,7 @@ sim::Task<bool> Shell::getSpace(sim::TaskId task, sim::PortId port, std::uint32_
   t.blocked = true;
   t.blocked_row = static_cast<std::int32_t>(idx);
   t.blocked_need = n_bytes;
-  co_return false;
+  return false;
 }
 
 sim::Task<void> Shell::putSpace(sim::TaskId task, sim::PortId port, std::uint32_t n_bytes) {
@@ -205,7 +219,8 @@ sim::Task<void> Shell::putSpace(sim::TaskId task, sim::PortId port, std::uint32_
     while (done < n_bytes) {
       const std::uint64_t off = (row.pos + done) % row.size;
       const std::uint64_t seg = std::min<std::uint64_t>(n_bytes - done, row.size - off);
-      co_await ports_[idx].cache->flushRange(row, row.base + off, seg);
+      StreamCache& cache = *ports_[idx].cache;
+      if (cache.dirtyIn(row.base + off, seg)) co_await cache.flushRange(row, row.base + off, seg);
       done += seg;
     }
   }
@@ -292,12 +307,11 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
 
   // Prefetch hint: the cyclically next line after this read, if still
   // inside the granted window.
+  StreamCache& cache = *ports_[idx].cache;
   std::optional<sim::Addr> hint;
   if (!writing && params_.prefetch) {
     const std::uint64_t end_pos = row.pos + offset + n;
-    const std::uint64_t next_line_pos =
-        (end_pos + params_.cache_line_bytes - 1) / params_.cache_line_bytes *
-        params_.cache_line_bytes;
+    const std::uint64_t next_line_pos = cache.alignDown(end_pos + cache.lineBytes() - 1);
     if (next_line_pos < row.pos + row.granted) {
       hint = row.base + next_line_pos % row.size;
     }
@@ -308,7 +322,6 @@ sim::Task<WindowView> Shell::acquire(sim::TaskId task, sim::PortId port, std::ui
   const sim::Cycle t0 = sim_.now() - xfer;  // include the port handshake
   std::uint64_t done = 0;
   const std::uint64_t start = row.pos + offset;
-  StreamCache& cache = *ports_[idx].cache;
   while (done < n) {
     const std::uint64_t off = (start + done) % row.size;
     const auto seg =

@@ -10,9 +10,13 @@ StreamCache::StreamCache(sim::Simulator& sim, mem::SharedSram& sram, std::uint32
     : sim_(sim),
       sram_(sram),
       line_bytes_(line_bytes),
+      line_mask_(static_cast<sim::Addr>(line_bytes) - 1),
       client_(client_id),
       event_(sim),
       lines_(n_lines) {
+  if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0) {
+    throw std::invalid_argument("StreamCache: line size must be a power of two");
+  }
   for (auto& l : lines_) {
     l.fill.cache = this;
     l.fill.line = &l;
@@ -115,6 +119,15 @@ sim::Task<void> StreamCache::flushRange(StreamRow& row, sim::Addr addr, std::uin
       l.dirty = false;
     }
   }
+}
+
+bool StreamCache::dirtyIn(sim::Addr addr, std::uint64_t len) const {
+  if (len == 0) return false;
+  const sim::Addr first = alignDown(addr);
+  const sim::Addr last = alignDown(addr + len - 1);
+  return std::any_of(lines_.begin(), lines_.end(), [&](const Line& l) {
+    return l.state == State::Valid && l.dirty && l.tag >= first && l.tag <= last;
+  });
 }
 
 void StreamCache::invalidateRange(StreamRow& row, sim::Addr addr, std::uint64_t len) {

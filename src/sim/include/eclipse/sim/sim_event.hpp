@@ -87,12 +87,15 @@ class SimEvent {
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      ev->waiters_.push(*this);
+      ev->park(*this);
     }
     void await_resume() const noexcept {}
   };
 
   [[nodiscard]] Awaiter wait() { return Awaiter{*this}; }
+
+  /// Parks a node (coroutine or callback) until the next notification.
+  void park(WaitNode& n) { waiters_.push(n); }
 
   void notifyAll() {
     while (WaitNode* n = waiters_.pop()) WaitQueue::wake(*sim_, *n);

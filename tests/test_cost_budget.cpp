@@ -46,7 +46,7 @@ using namespace eclipse;
 // frame pool and the reusable buffers are warm. Frames are pool reuses
 // plus heap-allocated frames; they count coroutine calls and do not depend
 // on frame sizes. Allocations count every global operator new.
-constexpr std::uint64_t kFrameBudget = 19220;
+constexpr std::uint64_t kFrameBudget = 13600;
 constexpr std::uint64_t kAllocationBudget = 303;
 
 struct Cost {

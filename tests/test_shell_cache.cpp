@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "eclipse/sim/prng.hpp"
@@ -265,6 +266,18 @@ Task<void> readLine(DirectCache& d, sim::Addr addr, sim::Cycle& done_at) {
     co_await d.cache.missWalk(d.row, addr + hit, 64 - hit, false);
   }
   done_at = d.sim.now();
+}
+
+TEST(StreamCacheDirect, LineSizeMustBeAPowerOfTwo) {
+  sim::Simulator sim;
+  mem::SharedSram sram{sim, mem::SramParams{}};
+  for (const std::uint32_t bad : {0u, 3u, 24u, 48u, 96u}) {
+    EXPECT_THROW(shell::StreamCache(sim, sram, bad, 2, 0), std::invalid_argument) << bad;
+  }
+  for (const std::uint32_t good : {1u, 16u, 32u, 64u, 128u}) {
+    shell::StreamCache cache(sim, sram, good, 2, 0);
+    EXPECT_EQ(cache.alignDown(1000), 1000u / good * good) << good;
+  }
 }
 
 TEST(StreamCacheDirect, PrefetchedLineHitsSynchronously) {
